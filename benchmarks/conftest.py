@@ -2,8 +2,9 @@
 
 Every bench regenerates one paper artifact (figure) or one ablation; the
 ``report`` fixture persists the printed comparison to
-``benchmarks/out/<test>.txt`` so results survive pytest's output capture
-and can be pasted into EXPERIMENTS.md.
+``bench-out/<test>.txt`` at the repo root so results survive pytest's
+output capture.  The directory is gitignored: a bench run never
+rewrites tracked files (CI uploads the reports as artifacts).
 """
 
 from __future__ import annotations
@@ -12,10 +13,13 @@ from pathlib import Path
 
 import pytest
 
-OUT_DIR = Path(__file__).parent / "out"
+OUT_DIR = Path(__file__).resolve().parent.parent / "bench-out"
 
 
 class Reporter:
+    #: Where reports (and any other bench artifacts) are written.
+    out_dir = OUT_DIR
+
     def __init__(self, name: str):
         self.name = name
         self.lines = []
@@ -24,7 +28,7 @@ class Reporter:
         self.lines.append(str(text))
 
     def flush(self) -> None:
-        OUT_DIR.mkdir(exist_ok=True)
+        OUT_DIR.mkdir(parents=True, exist_ok=True)
         path = OUT_DIR / f"{self.name}.txt"
         content = "\n".join(self.lines) + "\n"
         path.write_text(content)

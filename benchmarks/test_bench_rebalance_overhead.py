@@ -14,7 +14,8 @@ This bench drives an identical 16-tenant churn storm on the virtual-time
 simulator three times:
 
 * **from-scratch** — ``PlanCache(maxsize=0)``, patching off: every
-  lookup misses, every miss walks (the pre-PR-4 cost model);
+  lookup misses, every miss walks (the analyzer's report memo still
+  skips exact repeats, in every arm);
 * **plan cache** — caching on, patching off (the PR 4 baseline);
 * **delta path** — caching *and* projection patching / delta re-pinning
   (the full pipeline).
@@ -26,7 +27,6 @@ walks** per rebalance than the PR 4 baseline, with identical decisions.
 """
 
 import time
-from pathlib import Path
 
 import pytest
 
@@ -289,8 +289,8 @@ def test_obs_overhead(report):
            f"{median - 1.0:+.1%} (budget {OBS_BUDGET - 1.0:.0%})")
 
     # Snapshot artifacts for CI: the scrape file and the flight log.
-    OUT = Path(__file__).parent / "out"
-    OUT.mkdir(exist_ok=True)
+    OUT = report.out_dir
+    OUT.mkdir(parents=True, exist_ok=True)
     obs.export_prometheus(OUT / "obs_overhead.prom")
     obs.export_jsonl(OUT / "obs_overhead.jsonl")
 

@@ -77,12 +77,10 @@ def main() -> None:
             if line.startswith("repro_service_lifecycle_total"):
                 print(f"  {line}")
 
-        # Example/bench output lands under benchmarks/out/ (gitignored),
-        # never at the repo root.
+        # Example/bench output lands under bench-out/ (gitignored).
         out_dir = os.path.join(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "benchmarks",
-            "out",
+            "bench-out",
         )
         os.makedirs(out_dir, exist_ok=True)
         flight_path = os.path.join(out_dir, "observability_flight.jsonl")

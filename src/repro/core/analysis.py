@@ -18,6 +18,16 @@ This module factors the *per-execution* half into a reusable component:
   global LP arbiter) can evaluate hypothetical allocations without
   re-projecting.
 
+Analysis runs only when something changed.  A report derives entirely
+from the machine state, the estimates, *now*, the current LP and the
+root set, so :meth:`ExecutionAnalyzer.analyze` memoizes its previous
+report on ``(machines.rev, estimators.version, now, current_lp, root
+indices)``: the arbiter's rebalances re-ask every live execution, and an
+execution that saw no event and no estimate change since the previous
+ask at the same *now* gets the same report object back for one tuple
+compare.  The report in turn memoizes :meth:`AnalysisReport.minimal_lp`
+on ``(cap, start_lp, adg.rev)``, so repeated scans are dict hits.
+
 Actuation — who calls ``set_parallelism`` and with what — stays with the
 caller: the single-tenant controller applies its increase/halving policies
 directly, while :class:`~repro.service.arbiter.LPArbiter` pools the
@@ -32,7 +42,7 @@ events); leave it ``None`` for the classic whole-platform behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import StateMachineError
 from ..events.batch import ANALYSIS_POINT_WHERE
@@ -72,11 +82,17 @@ class AnalysisReport:
     projection again.
 
     Reports are consumed within the arbitration/controller pass that
-    requested them.  Since the delta pipeline, a *held-over* report's
-    ``adg`` may advance underneath it — a later analysis can patch the
-    same object in place instead of building a fresh one — so a stale
-    report re-queried after newer events answers from the newer actuals
-    (its cached plans were already retired by the revision bump).
+    requested them, and a repeat analysis with an unchanged key hands
+    the same object out again (see :meth:`ExecutionAnalyzer.analyze`).
+    Since the delta pipeline, a *held-over* report's ``adg`` may advance
+    underneath it — a later analysis can patch the same object in place
+    instead of building a fresh one — so a stale report re-queried after
+    newer events answers from the newer actuals (its cached plans were
+    already retired by the revision bump).  The scalar fields
+    (``wct_best_effort``, ``optimal_lp``, ...) stay those of the
+    analysis that built the report; :meth:`minimal_lp` memoizes its
+    answers on ``(cap, start_lp, adg.rev)``, so a patched ADG misses the
+    memo and is scanned afresh.
     """
 
     time: float
@@ -91,6 +107,10 @@ class AnalysisReport:
     #: evaluations (:meth:`wct_at`, :meth:`minimal_lp`) pull cached plans
     #: instead of re-running schedules from scratch.
     engine: Optional[PlanEngine] = field(default=None, repr=False, compare=False)
+    #: :meth:`minimal_lp` answers by ``(cap, start_lp, adg.rev)``.
+    _minimal_lps: Dict[Tuple, Optional[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def remaining_best_effort(self) -> float:
@@ -125,14 +145,21 @@ class AnalysisReport:
         """
         if self.deadline is None:
             return None
+        key = (cap, start_lp, self.adg.rev)
+        memo = self._minimal_lps
+        if key in memo:
+            return memo[key]
         if self.engine is not None:
-            return self.engine.minimal_lp(
+            answer = self.engine.minimal_lp(
                 self.adg, self.time, self.deadline, cap=cap, start_lp=start_lp
             )
-        found = minimal_lp_greedy(
-            self.adg, self.time, self.deadline, max_lp=cap, start_lp=start_lp
-        )
-        return found[0] if found is not None else None
+        else:
+            found = minimal_lp_greedy(
+                self.adg, self.time, self.deadline, max_lp=cap, start_lp=start_lp
+            )
+            answer = found[0] if found is not None else None
+        memo[key] = answer
+        return answer
 
 
 class ExecutionAnalyzer(Listener):
@@ -201,6 +228,8 @@ class ExecutionAnalyzer(Listener):
             compiled=plan_compiled,
         )
         self.exec_start: Dict[int, float] = {}  # root index -> start time
+        # (key, report) of the previous analyze() call (see analyze).
+        self._last: Optional[Tuple[Tuple, Optional[AnalysisReport]]] = None
         if skeleton is not None:
             self.validate(skeleton)
 
@@ -240,16 +269,16 @@ class ExecutionAnalyzer(Listener):
         execution), the registry consumes them under one lock
         acquisition, and the per-root start bookkeeping runs inline.
         """
-        self.machines.on_batch(events)
         for event in events:
             if event.parent_index is None and event.index not in self.exec_start:
                 self.exec_start[event.index] = event.timestamp
+        self.machines.on_batch(events)
 
     def observe(self, event: Event) -> None:
         """Feed one event into the tracking machines."""
-        self.machines.on_event(event)
         if event.parent_index is None and event.index not in self.exec_start:
             self.exec_start[event.index] = event.timestamp
+        self.machines.on_event(event)
 
     # -- Analyze ---------------------------------------------------------------
 
@@ -294,7 +323,40 @@ class ExecutionAnalyzer(Listener):
         not emitted any event yet (tasks queued, no worker reached them)
         is analyzed *structurally* instead — scenario 2's initialization,
         extended to the pre-start window.
+
+        A repeat is free: when the machine revision, the estimator
+        version, *now*, *current_lp* and the root set all equal the
+        previous call's, that call's report object (or ``None``) is
+        returned as is.
         """
+        roots_key = None if roots is None else tuple(m.index for m in roots)
+        # Everything an analysis reads moves one of these: events bump
+        # the machine revision (and land exec_start before doing so),
+        # estimate changes bump the version.  Reading the key under the
+        # machine lock keeps it consistent with concurrent publishers;
+        # the analysis itself runs outside the lock, so a report built
+        # while events land reflects state at least as new as its key.
+        with self.machines.lock:
+            key = (
+                self.machines.rev,
+                self.estimators.version,
+                now,
+                current_lp,
+                roots_key,
+            )
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        report = self._analyze(now, current_lp, roots)
+        self._last = (key, report)
+        return report
+
+    def _analyze(
+        self,
+        now: float,
+        current_lp: Optional[int],
+        roots: Optional[List],
+    ) -> Optional[AnalysisReport]:
         roots = roots if roots is not None else self.unfinished_roots()
         if not roots and not self.machines.roots:
             return self._structural_report(now, current_lp)

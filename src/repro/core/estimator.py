@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional, Tuple
 
 from ..errors import EstimateNotReadyError, QoSError
 from ..skeletons.base import Skeleton
@@ -124,6 +124,9 @@ class EstimatorRegistry:
         self._card: Dict[int, HistoryEstimator] = {}
         self._version = 0
         self._lock = threading.Lock()
+        # skeleton -> ((estimator table, muscle uid), ...) not yet seen
+        # ready; () once the skeleton is ready (see ready_for).
+        self._pending: Dict[Skeleton, Tuple[Tuple[Dict, int], ...]] = {}
 
     @property
     def version(self) -> int:
@@ -252,21 +255,27 @@ class EstimatorRegistry:
     # -- readiness ----------------------------------------------------------------
 
     @staticmethod
-    def required_cards(skel: Skeleton) -> Iterable[Muscle]:
+    def required_cards(skel: Skeleton) -> Tuple[Muscle, ...]:
         """Muscles whose cardinality the projection of *skel* depends on.
 
         Split muscles of Map/Fork/D&C (fan-out) and Condition muscles of
         While (iteration count) and D&C (recursion depth).  ``For`` has a
-        static trip count; ``If`` conditions need no cardinality.
+        static trip count; ``If`` conditions need no cardinality.  The
+        skeleton tree is immutable, so the walk runs once per node.
         """
-        for node in skel.walk():
-            if isinstance(node, (Map, Fork)):
-                yield node.split
-            elif isinstance(node, While):
-                yield node.condition
-            elif isinstance(node, DivideAndConquer):
-                yield node.condition
-                yield node.split
+        cards = skel._card_memo
+        if cards is None:
+            out = []
+            for node in skel.walk():
+                if isinstance(node, (Map, Fork)):
+                    out.append(node.split)
+                elif isinstance(node, While):
+                    out.append(node.condition)
+                elif isinstance(node, DivideAndConquer):
+                    out.append(node.condition)
+                    out.append(node.split)
+            cards = skel._card_memo = tuple(out)
+        return cards
 
     def ready_for(self, skel: Skeleton) -> bool:
         """True when every estimate needed to project *skel* is available.
@@ -275,13 +284,27 @@ class EstimatorRegistry:
         least once" gate: the first ADG analysis of a cold run can only
         happen once every muscle has an observation (scenario 1's first
         analysis at ≈7.6 s, right after the first merge).
+
+        Readiness only ever moves from false to true, so the registry
+        remembers, per skeleton, the needs not yet seen ready and
+        re-checks only those: a ready skeleton costs one dict lookup, a
+        cold one resumes at its first missing estimate.  Estimators
+        initialized directly (``time_estimator(m).initialize(v)``, which
+        does not bump :attr:`version`) are still picked up.
         """
-        for muscle in skel.muscles():
-            if not self.has_time(muscle):
+        pending = self._pending.get(skel)
+        if pending is None:
+            pending = tuple((self._time, m.uid) for m in skel.muscles()) + tuple(
+                (self._card, m.uid) for m in self.required_cards(skel)
+            )
+        elif not pending:
+            return True
+        for i, (table, uid) in enumerate(pending):
+            est = table.get(uid)
+            if est is None or not est.ready:
+                self._pending[skel] = pending[i:]
                 return False
-        for muscle in self.required_cards(skel):
-            if not self.has_card(muscle):
-                return False
+        self._pending[skel] = ()
         return True
 
     def missing_for(self, skel: Skeleton) -> list:

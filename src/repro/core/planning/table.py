@@ -70,6 +70,11 @@ try:  # optional accelerator; every user keeps a pure-stdlib fallback
 except ImportError:  # pragma: no cover - numpy is present in CI
     _np = None
 
+#: Below this many activities the per-call numpy overhead exceeds the
+#: vectorized win, so :meth:`CompiledSchedule.peak` takes the pure-Python
+#: timeline path (measured crossover: ~25 activities).
+_NP_PEAK_MIN = 24
+
 __all__ = [
     "PlanTable",
     "CompiledPinnedBase",
@@ -365,15 +370,20 @@ class CompiledSchedule:
     def peak(self, from_time: Optional[float] = None) -> int:
         """Maximum concurrency (optionally only from *from_time* onwards).
 
-        When the step function itself was never asked for, the peak is
-        computed directly from the start/end columns (same filtering,
-        grouping and crop rules as :func:`~repro.core.schedule.
-        concurrency_timeline` — the value is identical); a memoized
-        timeline is reused for free.
+        When the step function itself was never asked for and the
+        schedule has at least ``_NP_PEAK_MIN`` activities, the peak is
+        computed directly from the start/end columns with numpy (same
+        filtering, grouping and crop rules as :func:`~repro.core.
+        schedule.concurrency_timeline` — the value is identical); small
+        schedules and memoized timelines take the timeline path.
         """
         cached = self._peaks.get(from_time)
         if cached is None:
-            if _np is not None and from_time not in self._timelines:
+            if (
+                _np is not None
+                and len(self._starts) >= _NP_PEAK_MIN
+                and from_time not in self._timelines
+            ):
                 cached = _np_peak(self._starts, self._ends, from_time)
             else:
                 cached = peak_concurrency(self.timeline(from_time))

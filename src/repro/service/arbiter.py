@@ -35,11 +35,16 @@ Plan + Execute halves with a single global decision, in three layers:
 
 Analysis is pulled, not recomputed: every rebalance asks each
 execution's :class:`~repro.core.analysis.ExecutionAnalyzer` for a
-report, and the reports ride the per-execution
-:class:`~repro.core.planning.PlanEngine` — projections are reused for
-executions with no new events, and the minimal/optimal-LP queries below
-resolve against cached plans instead of re-running schedules from
-scratch per tick.
+report, and the analyzer memoizes its previous report on ``(machine
+revision, estimator version, now, current LP, root set)``.  An
+execution that saw no event and no estimate change since it was last
+asked at the same *now* hands back the same report object for one tuple
+compare, and that report memoizes its minimal-LP answers on ``(cap,
+start_lp, adg.rev)``, so the scans below repeat as dict hits.  Whatever
+does change rides the per-execution :class:`~repro.core.planning.
+PlanEngine` — projections are reused or patched for executions with no
+structural events, and the minimal/optimal-LP queries resolve against
+cached plans instead of re-running schedules from scratch per tick.
 
 Execution happens through two platform knobs: the global level of
 parallelism (``set_parallelism``, total pool size) and the per-execution

@@ -18,6 +18,7 @@ the service lock, so the two layers cannot deadlock.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any, Dict, List, Optional
 
 from ..core.analysis import ExecutionAnalyzer, is_analysis_point
@@ -50,6 +51,13 @@ from .tenancy import TenantBook, TenantQuota
 __all__ = ["SkeletonService"]
 
 DEFAULT_TENANT = "default"
+
+#: ``repro_rebalance_duration_seconds`` buckets: one rebalance costs
+#: tens of microseconds to a few milliseconds of host time.
+REBALANCE_BUCKETS = (
+    0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005,
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0,
+)
 
 
 class _AnalysisTicker(Listener):
@@ -307,7 +315,8 @@ class SkeletonService:
             )
             self._rebalance_duration = observability.metrics.histogram(
                 "repro_rebalance_duration_seconds",
-                "Wall-clock cost of one applied arbiter rebalance",
+                "Host-clock cost of one applied arbiter rebalance",
+                buckets=REBALANCE_BUCKETS,
             )
             self._ckpt_counter = observability.metrics.counter(
                 "repro_checkpoints_total",
@@ -791,8 +800,10 @@ class SkeletonService:
 
     def _rebalance_locked(self, trigger: str, force: bool) -> Optional[Any]:
         analyzers = {eid: rec.analyzer for eid, rec in self._live.items()}
+        # Host clock, not the platform's: on the simulator virtual time
+        # stands still while the arbiter computes.
         started = (
-            self.platform.now() if self._rebalance_duration is not None else None
+            time.perf_counter() if self._rebalance_duration is not None else None
         )
         span = self.platform.tracer.start_span(
             "rebalance", context=self._service_trace, trigger=trigger
@@ -805,9 +816,7 @@ class SkeletonService:
             span.set_attr("live", len(analyzers))
             span.finish()
         if started is not None and outcome is not None:
-            self._rebalance_duration.observe(
-                max(0.0, self.platform.now() - started)
-            )
+            self._rebalance_duration.observe(time.perf_counter() - started)
         if outcome is not None:
             infeasible = set(outcome.infeasible)
             cold = set(outcome.cold)

@@ -40,6 +40,11 @@ class Skeleton:
     """
 
     kind: str = "?"
+    #: :meth:`muscles` of this (immutable) tree, filled on first call.
+    _muscle_memo: Optional[Tuple[Muscle, ...]] = None
+    #: :meth:`~repro.core.estimator.EstimatorRegistry.required_cards` of
+    #: this tree, filled on first call.
+    _card_memo: Optional[Tuple[Muscle, ...]] = None
 
     def __init__(self):
         self._bound_platform: Optional["Platform"] = None
@@ -63,15 +68,22 @@ class Skeleton:
             yield from child.walk()
 
     def muscles(self) -> List[Muscle]:
-        """All muscles of the tree, pre-order, without duplicates."""
-        seen = set()
-        out: List[Muscle] = []
-        for node in self.walk():
-            for muscle in node.own_muscles:
-                if muscle.uid not in seen:
-                    seen.add(muscle.uid)
-                    out.append(muscle)
-        return out
+        """All muscles of the tree, pre-order, without duplicates.
+
+        The tree is immutable, so the walk runs once per node; later
+        calls copy the memoized tuple.
+        """
+        memo = self._muscle_memo
+        if memo is None:
+            seen = set()
+            out: List[Muscle] = []
+            for node in self.walk():
+                for muscle in node.own_muscles:
+                    if muscle.uid not in seen:
+                        seen.add(muscle.uid)
+                        out.append(muscle)
+            memo = self._muscle_memo = tuple(out)
+        return list(memo)
 
     def depth(self) -> int:
         """Height of the skeleton tree (a lone ``seq`` has depth 1)."""

@@ -221,3 +221,59 @@ class TestReadiness:
         reg.time_estimator(fe).initialize(1.0)
         reg.time_estimator(fm).initialize(1.0)
         assert reg.ready_for(skel)
+
+    def test_verdict_follows_direct_initialization_between_asks(self):
+        # Estimators handed out by time_estimator()/card_estimator() can
+        # be warmed directly, without a version bump; the remembered
+        # verdict must still turn true as soon as the last one is warm.
+        skel, fs, fe, fm = self.make_map()
+        reg = EstimatorRegistry()
+        version = reg.version
+        steps = [
+            lambda: reg.time_estimator(fm).initialize(1.0),
+            lambda: reg.time_estimator(fs).initialize(1.0),
+            lambda: reg.card_estimator(fs).initialize(2.0),
+            lambda: reg.time_estimator(fe).initialize(1.0),
+        ]
+        for step in steps:
+            assert not reg.ready_for(skel)
+            step()
+        assert reg.version == version
+        assert reg.ready_for(skel)
+        assert reg.ready_for(skel)
+        assert reg.missing_for(skel) == []
+
+    def test_verdicts_are_per_skeleton(self):
+        skel, fs, fe, fm = self.make_map()
+        leaf = Seq(fe)
+        reg = EstimatorRegistry()
+        reg.observe_time(fe, 1.0)
+        assert reg.ready_for(leaf)
+        assert not reg.ready_for(skel)
+        assert EstimatorRegistry().ready_for(leaf) is False
+
+
+class TestStructureMemo:
+    def test_muscles_are_walked_once_and_handed_out_as_copies(self):
+        fs = Split(lambda xs: [xs], name="fs")
+        fe = Execute(lambda xs: xs, name="fe")
+        fm = Merge(lambda rs: rs, name="fm")
+        skel = Map(fs, Seq(fe), fm)
+        first = skel.muscles()
+        assert [m.name for m in first] == ["fs", "fm", "fe"]
+        first.clear()
+        assert [m.name for m in skel.muscles()] == ["fs", "fm", "fe"]
+        assert skel._muscle_memo is not None
+
+    def test_required_cards_memoized_per_node(self):
+        fs = Split(lambda xs: [xs], name="fs")
+        inner = Map(
+            Split(lambda xs: [xs], name="is"),
+            Seq(Execute(lambda xs: xs, name="fe")),
+            Merge(lambda rs: rs, name="im"),
+        )
+        skel = Map(fs, inner, Merge(lambda rs: rs, name="fm"))
+        cards = EstimatorRegistry.required_cards(skel)
+        assert [m.name for m in cards] == ["fs", "is"]
+        assert EstimatorRegistry.required_cards(skel) is cards
+        assert [m.name for m in EstimatorRegistry.required_cards(inner)] == ["is"]

@@ -23,8 +23,10 @@ The sweeps carry the ``service_stress`` marker so the dedicated CI job
 runs them alongside the arbiter property harness.
 """
 
+from array import array
+
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, strategies as st
 
 from repro import SimulatedPlatform, run
 from repro.core.adg import ADG
@@ -37,7 +39,11 @@ from repro.core.planning.compile import (
     compile_structural,
     structural_fingerprint,
 )
+from repro.core.planning import table as table_module
 from repro.core.planning.table import (
+    _NP_PEAK_MIN,
+    CompiledSchedule,
+    _np_peak,
     compiled_best_effort,
     compiled_critical_path,
     compiled_minimal_lp,
@@ -50,6 +56,7 @@ from repro.core.schedule import (
     best_effort_schedule,
     limited_lp_schedule,
     minimal_lp_greedy,
+    peak_concurrency,
     pin_actuals,
     remaining_critical_path,
 )
@@ -639,14 +646,18 @@ class TestSharedCache:
         assert cache.stats.hits > hits0
 
     def test_caching_cuts_schedule_passes_for_identical_queries(self):
+        # Drives the engine directly with the queries a pre-start
+        # analysis plus an arbiter scan make: analyze() itself memoizes
+        # repeats above the cache, so it would hide the cache's effect.
         def drive(cache):
-            _program, analyzer = warm_map_analyzer(
-                width=4, qos=QoS.wall_clock(6.0), cache=cache
-            )
+            _program, analyzer = warm_map_analyzer(width=4, cache=cache)
+            engine = analyzer.plan
             for _ in range(5):
-                report = analyzer.analyze(0.0, current_lp=2)
-                assert report is not None
-                report.minimal_lp(cap=6)
+                adg = engine.structural_plan()
+                assert adg is not None
+                engine.best_effort(adg, 0.0).peak(from_time=0.0)
+                engine.wct_at(adg, 0.0, 2)
+                engine.minimal_lp(adg, 0.0, 6.0, cap=6)
             return cache.stats
 
         cold = drive(PlanCache(maxsize=0))
@@ -804,6 +815,52 @@ class TestCompiledPassesMatchDict:
         assert checker.checked >= 6
         assert stats.table_compiles == 0
         assert stats.pin_patches >= 1
+
+
+# ---------------------------------------------------------------------------
+# CompiledSchedule.peak: the numpy and the timeline path agree around
+# the size constant that picks between them
+
+_GRID = st.integers(min_value=0, max_value=12).map(lambda k: k * 0.25)
+
+
+@st.composite
+def schedule_columns(draw):
+    """Start/end columns of just below or just above ``_NP_PEAK_MIN``
+    activities, on a coarse grid so times tie and intervals are empty."""
+    n = draw(st.sampled_from([_NP_PEAK_MIN - 1, _NP_PEAK_MIN, _NP_PEAK_MIN + 1]))
+    starts = draw(st.lists(_GRID, min_size=n, max_size=n))
+    lengths = draw(st.lists(_GRID, min_size=n, max_size=n))
+    from_time = draw(st.one_of(st.none(), _GRID))
+    ends = [s + d for s, d in zip(starts, lengths)]
+    return array("d", starts), array("d", ends), from_time
+
+
+@pytest.mark.skipif(table_module._np is None, reason="needs numpy")
+class TestPeakPaths:
+    @given(schedule_columns())
+    def test_numpy_and_timeline_peaks_are_identical(self, columns):
+        starts, ends, from_time = columns
+        names = ["a"] * len(starts)
+        state = array("b", bytes(len(starts)))
+        schedule = CompiledSchedule("best-effort", 0.0, None, starts, ends, state, names)
+        timeline_peak = peak_concurrency(schedule.timeline(from_time))
+        assert _np_peak(starts, ends, from_time) == timeline_peak
+        fresh = CompiledSchedule("best-effort", 0.0, None, starts, ends, state, names)
+        assert fresh.peak(from_time) == timeline_peak
+
+    def test_small_schedules_skip_numpy(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("numpy path taken below _NP_PEAK_MIN")
+
+        monkeypatch.setattr(table_module, "_np_peak", refuse)
+        n = _NP_PEAK_MIN - 1
+        starts = array("d", [float(i % 3) for i in range(n)])
+        ends = array("d", [s + 1.0 for s in starts])
+        schedule = CompiledSchedule(
+            "best-effort", 0.0, None, starts, ends, array("b", bytes(n)), ["a"] * n
+        )
+        assert schedule.peak(0.0) == peak_concurrency(schedule.timeline(0.0))
 
 
 # ---------------------------------------------------------------------------

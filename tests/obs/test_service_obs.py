@@ -106,6 +106,18 @@ class TestServiceInstrumentation:
         assert len(rebalances) >= 3
         assert len({s.trace_id for s in rebalances}) == 1
 
+    def test_rebalance_duration_is_host_time_on_the_simulator(self):
+        # Virtual time stands still while the arbiter computes, so a
+        # platform-clock timer would read 0 for every rebalance.
+        service, obs = obs_service()
+        for i in range(3):
+            service.submit(program(), i, qos=QoS.wall_clock(100.0)).result()
+        service.shutdown()
+        hist = obs.metrics.get("repro_rebalance_duration_seconds")
+        assert hist.count() >= 3
+        assert hist.sum() > 0.0
+        assert hist.buckets[0] == 0.00001
+
     def test_rejected_submission_closes_span(self):
         from repro.service import TenantQuota
 

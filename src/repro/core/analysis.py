@@ -14,7 +14,7 @@ This module factors the *per-execution* half into a reusable component:
   and on demand **analyzes**: projects the live ADG and derives the
   paper's quantities (best-effort WCT, optimal LP, WCT under a given LP);
 * :class:`AnalysisReport` — one analysis outcome, carrying the projected
-  ADG so *planners* (the controller's local policies, or the service's
+  plan so *planners* (the controller's local policies, or the service's
   global LP arbiter) can evaluate hypothetical allocations without
   re-projecting.
 
@@ -26,7 +26,7 @@ indices)``: the arbiter's rebalances re-ask every live execution, and an
 execution that saw no event and no estimate change since the previous
 ask at the same *now* gets the same report object back for one tuple
 compare.  The report in turn memoizes :meth:`AnalysisReport.minimal_lp`
-on ``(cap, start_lp, adg.rev)``, so repeated scans are dict hits.
+on ``(cap, start_lp, plan.rev)``, so repeated scans are dict hits.
 
 Actuation — who calls ``set_parallelism`` and with what — stays with the
 caller: the single-tenant controller applies its increase/halving policies
@@ -67,6 +67,8 @@ __all__ = ["AnalysisReport", "ExecutionAnalyzer", "ANALYSIS_WHERE", "is_analysis
 #: layer's batch summaries use too.
 ANALYSIS_WHERE = ANALYSIS_POINT_WHERE
 
+_EPS = 1e-9
+
 
 def is_analysis_point(event: Event) -> bool:
     """True when *event* is one of the paper's analysis points."""
@@ -77,22 +79,26 @@ def is_analysis_point(event: Event) -> bool:
 class AnalysisReport:
     """One Monitor/Analyze outcome for one (set of) execution(s).
 
-    Carries the projected ADG so planners can evaluate hypothetical LP
-    allocations (:meth:`wct_at`, :meth:`minimal_lp`) without paying the
-    projection again.
+    Carries the projected plan so planners can evaluate hypothetical LP
+    allocations (:meth:`wct_at`, :meth:`meets`, :meth:`minimal_lp`)
+    without paying the projection again.  ``plan`` is what the engine
+    plans over: the execution's live plan table, a structural table
+    before the first event, or an ADG on the dict path.  :attr:`adg`
+    renders it as an ADG on demand (viz, inspection); planning never
+    needs that.
 
     Reports are consumed within the arbitration/controller pass that
     requested them, and a repeat analysis with an unchanged key hands
     the same object out again (see :meth:`ExecutionAnalyzer.analyze`).
-    Since the delta pipeline, a *held-over* report's ``adg`` may advance
-    underneath it — a later analysis can patch the same object in place
-    instead of building a fresh one — so a stale report re-queried after
-    newer events answers from the newer actuals (its cached plans were
-    already retired by the revision bump).  The scalar fields
-    (``wct_best_effort``, ``optimal_lp``, ...) stay those of the
-    analysis that built the report; :meth:`minimal_lp` memoizes its
-    answers on ``(cap, start_lp, adg.rev)``, so a patched ADG misses the
-    memo and is scanned afresh.
+    A *held-over* report's ``plan`` may advance underneath it — a later
+    analysis patches the live table in place instead of building a
+    fresh one — so a stale report re-queried after newer events answers
+    from the newer actuals (its cached plans were already retired by the
+    revision bump).  The scalar fields (``wct_best_effort``,
+    ``optimal_lp``, ...) stay those of the analysis that built the
+    report; :meth:`minimal_lp` memoizes its answers on ``(cap,
+    start_lp, plan.rev)``, so a patched plan misses the memo and is
+    scanned afresh.
     """
 
     time: float
@@ -102,15 +108,21 @@ class AnalysisReport:
     wct_best_effort: float
     wct_current_lp: Optional[float]
     optimal_lp: int
-    adg: ADG
+    plan: Any
     #: The planning engine that built this report; when set, hypothetical
     #: evaluations (:meth:`wct_at`, :meth:`minimal_lp`) pull cached plans
     #: instead of re-running schedules from scratch.
     engine: Optional[PlanEngine] = field(default=None, repr=False, compare=False)
-    #: :meth:`minimal_lp` answers by ``(cap, start_lp, adg.rev)``.
+    #: :meth:`minimal_lp` answers by ``(cap, start_lp, plan.rev)``.
     _minimal_lps: Dict[Tuple, Optional[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    @property
+    def adg(self) -> ADG:
+        """The plan as an ADG (built on demand for table-backed plans)."""
+        plan = self.plan
+        return plan if isinstance(plan, ADG) else plan.to_adg()
 
     @property
     def remaining_best_effort(self) -> float:
@@ -132,8 +144,18 @@ class AnalysisReport:
     def wct_at(self, lp: int) -> float:
         """Projected WCT under a hypothetical level of parallelism."""
         if self.engine is not None:
-            return self.engine.wct_at(self.adg, self.time, lp)
+            return self.engine.wct_at(self.plan, self.time, lp)
         return limited_lp_schedule(self.adg, self.time, lp).wct
+
+    def meets(self, lp: int) -> bool:
+        """True when *lp* workers meet the deadline (``False`` without
+        one); the engine skips the schedule when the work bound
+        already misses."""
+        if self.deadline is None:
+            return False
+        if self.engine is not None:
+            return self.engine.meets(self.plan, self.time, lp, self.deadline)
+        return self.wct_at(lp) <= self.deadline + _EPS
 
     def minimal_lp(
         self, cap: Optional[int] = None, start_lp: int = 1
@@ -145,13 +167,13 @@ class AnalysisReport:
         """
         if self.deadline is None:
             return None
-        key = (cap, start_lp, self.adg.rev)
+        key = (cap, start_lp, self.plan.rev)
         memo = self._minimal_lps
         if key in memo:
             return memo[key]
         if self.engine is not None:
             answer = self.engine.minimal_lp(
-                self.adg, self.time, self.deadline, cap=cap, start_lp=start_lp
+                self.plan, self.time, self.deadline, cap=cap, start_lp=start_lp
             )
         else:
             found = minimal_lp_greedy(
@@ -191,9 +213,9 @@ class ExecutionAnalyzer(Listener):
         every live execution and the admission path; stand-alone
         analyzers get a private one.
     plan_patching:
-        Enable the engine's delta pipeline (patch the previous projection
+        Enable the engine's delta pipeline (patch the live plan table
         and pinned base in place when the machine changelog allows it) —
-        on by default; off restores plain rev-keyed caching, which the
+        on by default; off rebuilds the table on every change, which the
         delta-path benchmark uses as its baseline.
     plan_compiled:
         Run the engine's scheduling passes over compiled
@@ -362,10 +384,10 @@ class ExecutionAnalyzer(Listener):
             return self._structural_report(now, current_lp)
         if not self.ready(roots):
             return None
-        adg = self.plan.projection(now, roots)
-        if len(adg) == 0:
+        plan = self.plan.projection(now, roots)
+        if len(plan) == 0:
             return None
-        return self._report_from_adg(now, current_lp, adg, self.deadline(roots))
+        return self._report(now, current_lp, plan, self.deadline(roots))
 
     def _structural_report(
         self, now: float, current_lp: Optional[int]
@@ -377,25 +399,25 @@ class ExecutionAnalyzer(Listener):
         The deadline assumes the execution starts *now* — optimistic by
         at most the (tiny) submit-to-first-task latency.
         """
-        adg = self.plan.structural_plan()
-        if adg is None:
-            adg = self.plan.structural_projection()
-        if adg is None or len(adg) == 0:
+        plan = self.plan.structural_plan()
+        if plan is None:
+            plan = self.plan.structural_projection()
+        if plan is None or len(plan) == 0:
             return None
         deadline = None
         if self.qos is not None and self.qos.wct is not None:
             deadline = self.qos.wct.deadline(now)
-        return self._report_from_adg(now, current_lp, adg, deadline)
+        return self._report(now, current_lp, plan, deadline)
 
-    def _report_from_adg(
+    def _report(
         self,
         now: float,
         current_lp: Optional[int],
-        adg: ADG,
+        plan: Any,
         deadline: Optional[float],
     ) -> AnalysisReport:
-        """Derive the paper's quantities from (cached) plans of an ADG."""
-        best = self.plan.best_effort(adg, now)
+        """Derive the paper's quantities from (cached) schedules of *plan*."""
+        best = self.plan.best_effort(plan, now)
         return AnalysisReport(
             time=now,
             execution_id=self.execution_id,
@@ -403,11 +425,11 @@ class ExecutionAnalyzer(Listener):
             current_lp=current_lp,
             wct_best_effort=best.wct,
             wct_current_lp=(
-                self.plan.wct_at(adg, now, current_lp)
+                self.plan.wct_at(plan, now, current_lp)
                 if current_lp is not None
                 else None
             ),
             optimal_lp=best.peak(from_time=now),
-            adg=adg,
+            plan=plan,
             engine=self.plan,
         )

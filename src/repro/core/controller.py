@@ -251,8 +251,8 @@ class AutonomicController(Listener):
         elif self.decrease_policy == "halving" and current_lp > 1:
             # Goal is safe: can we do it with half the threads?
             half = current_lp // 2
-            half_wct = report.wct_at(half)
-            if half_wct <= deadline + _EPS:
+            if report.meets(half):
+                half_wct = report.wct_at(half)
                 lp_after = self.platform.set_parallelism(half)
                 action = "decrease"
                 reason = (

@@ -48,17 +48,25 @@ class ChangeDelta:
         Identifiers whose recorded times changed in place within the
         window — machine instance indices for a registry delta, activity
         ids for an ADG delta.  Sorted, duplicate-free.
+    created / splits:
+        Live-table windows only (``MachineRegistry.delta_since(rev,
+        live=True)``): machines created in the window, in creation
+        order, and machines whose split cardinality landed.  Neither
+        sets ``structural``; the live table decides whether each fits
+        the shape it already holds.
     """
 
     from_rev: int
     to_rev: int
     structural: bool
     touched: Tuple[int, ...] = ()
+    created: Tuple[int, ...] = ()
+    splits: Tuple[int, ...] = ()
 
     @property
     def empty(self) -> bool:
         """True when nothing at all changed in the window."""
-        return not self.structural and not self.touched
+        return not self.structural and not self.touched and not self.created
 
     def __bool__(self) -> bool:
-        return self.structural or bool(self.touched)
+        return not self.empty

@@ -123,6 +123,7 @@ class EstimatorRegistry:
         self._time: Dict[int, HistoryEstimator] = {}
         self._card: Dict[int, HistoryEstimator] = {}
         self._version = 0
+        self._card_version = 0
         self._lock = threading.Lock()
         # skeleton -> ((estimator table, muscle uid), ...) not yet seen
         # ready; () once the skeleton is ready (see ready_for).
@@ -146,13 +147,26 @@ class EstimatorRegistry:
         """
         return self._version
 
-    def _bump(self) -> None:
-        with self._lock:
-            self._version += 1
+    @property
+    def card_version(self) -> int:
+        """Stamp bumped only when a *cardinality* estimate changes value.
 
-    def _bump_if_changed(self, before: Optional[float], after: float) -> None:
+        Cardinalities (``|m|``) decide how many activities a projection
+        holds and how they connect; times (``t(m)``) only weight them.
+        A live plan table whose :attr:`card_version` is unchanged keeps
+        its shape across a :attr:`version` bump and restamps durations
+        in place instead of recompiling.
+        """
+        return self._card_version
+
+    def _bump_if_changed(
+        self, before: Optional[float], after: float, card: bool = False
+    ) -> None:
         if before is None or before != after:
-            self._bump()
+            with self._lock:
+                self._version += 1
+                if card:
+                    self._card_version += 1
 
     def _new_estimator(self) -> HistoryEstimator:
         if self._factory is not None:
@@ -198,7 +212,7 @@ class EstimatorRegistry:
         est = self.card_estimator(muscle)
         before = est.peek()
         value = est.update(cardinality)
-        self._bump_if_changed(before, value)
+        self._bump_if_changed(before, value, card=True)
         return value
 
     def initialize_time(self, muscle: Muscle, value: float) -> None:
@@ -213,7 +227,7 @@ class EstimatorRegistry:
         est = self.card_estimator(muscle)
         before = est.peek()
         est.initialize(value)
-        self._bump_if_changed(before, est.peek())
+        self._bump_if_changed(before, est.peek(), card=True)
 
     # -- queries -----------------------------------------------------------------
 

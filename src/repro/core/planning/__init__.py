@@ -17,7 +17,11 @@ package is the single seam all planning flows through:
   skeleton structure and emits PlanTable columns *directly* (no
   ``Activity`` objects, no intermediate ADG), stamping repeated
   sub-structures from relocatable templates; its output is memoized
-  across engines by ``(structural fingerprint, estimate values)``.
+  across engines by ``(structural fingerprint, estimate values)``;
+* :class:`~repro.core.planning.live.LivePlan` — one live execution's
+  table, compiled straight from its tracking machines and patched in
+  place between analyses (span landings, slot fills, ``t(m)``
+  restamps); the engine rebuilds it only when its shape can change.
 
 Consumers: :class:`~repro.core.analysis.ExecutionAnalyzer` builds its
 reports through the engine, :class:`~repro.service.admission.
@@ -34,12 +38,14 @@ from .compile import (
     structural_fingerprint,
 )
 from .engine import PlanEngine
+from .live import LivePlan
 from .table import CompiledPinnedBase, CompiledSchedule, PlanTable
 
 __all__ = [
     "CompiledPinnedBase",
     "CompiledProjection",
     "CompiledSchedule",
+    "LivePlan",
     "PlanCache",
     "PlanCacheStats",
     "PlanEngine",

@@ -37,7 +37,10 @@ projection.project_skeleton` would build — same names, roles, durations
 (the same ``t(m)`` reads), same predecessor/successor layout including
 duplicate edges and the ``<= 2``-degree inlining — pinned by the
 projection-twin property harness in ``tests/core/test_plan_engine.py``.
-The dict/Activity walk remains the ``compiled=False`` twin.
+The dict/Activity walk remains the ``compiled=False`` twin.  Live plans
+reuse the same emitters through
+:class:`~repro.core.planning.live.LiveCompiler`, which adds the tracking
+machines' own rows around the stamped structure.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from ...skeletons.loops import For, While
 from ...skeletons.pipe import Pipe
 from ...skeletons.seq import Seq
 from ...skeletons.smap import Map
-from ..delta import ChangeDelta
 from ..estimator import EstimatorRegistry
 from ..projection import estimated_total_work
 from .table import CompiledPinnedBase, PlanTable
@@ -102,6 +104,7 @@ class _Template:
     __slots__ = (
         "n",
         "names",
+        "muscles",
         "roles",
         "duration",
         "npred",
@@ -135,6 +138,7 @@ class ProjectionCompiler:
     __slots__ = (
         "est",
         "names",
+        "muscles",
         "roles",
         "duration",
         "npred",
@@ -153,6 +157,9 @@ class ProjectionCompiler:
     def __init__(self, est: EstimatorRegistry, _templates: Optional[Dict] = None):
         self.est = est
         self.names: List[str] = []
+        #: the muscle each row estimates (its ``t(m)`` is the row's
+        #: duration until an actual time lands)
+        self.muscles: List = []
         self.roles: List[str] = []
         self.duration = array("d")
         self.npred = array("q")
@@ -174,11 +181,13 @@ class ProjectionCompiler:
 
     # -- column building ---------------------------------------------------------
 
-    def add(self, name: str, dur: float, preds, role: str) -> int:
-        """Append one activity; returns its id.  Twin of ``ADG.add``."""
+    def add(self, muscle, dur: float, preds, role: str) -> int:
+        """Append one activity of *muscle*; returns its id.  Twin of
+        ``ADG.add``."""
         names = self.names
         i = len(names)
-        names.append(name)
+        names.append(muscle.name)
+        self.muscles.append(muscle)
         self.roles.append(role)
         self.duration.append(dur)
         c = len(preds)
@@ -224,6 +233,7 @@ class ProjectionCompiler:
         """
         base = len(self.names)
         self.names += tmpl.names
+        self.muscles += tmpl.muscles
         self.roles += tmpl.roles
         self.duration.extend(tmpl.duration)
         self.npred.extend(tmpl.npred)
@@ -310,6 +320,7 @@ class ProjectionCompiler:
         n = tmpl.n
         base0 = len(self.names)
         self.names += tmpl.names * k
+        self.muscles += tmpl.muscles * k
         self.roles += tmpl.roles * k
         self.duration.extend(tmpl.duration * k)
         self.npred.extend(tmpl.npred * k)
@@ -401,6 +412,7 @@ class ProjectionCompiler:
         tmpl = _Template()
         tmpl.n = len(self.names)
         tmpl.names = self.names
+        tmpl.muscles = self.muscles
         tmpl.roles = self.roles
         tmpl.duration = self.duration
         tmpl.npred = self.npred
@@ -494,7 +506,7 @@ class ProjectionCompiler:
         """
         est = self.est
         if isinstance(skel, Seq):
-            return [self.add(skel.execute.name, est.t(skel.execute), preds, "execute")]
+            return [self.add(skel.execute, est.t(skel.execute), preds, "execute")]
 
         if isinstance(skel, Farm):
             return self._emit(skel.subskel, preds)
@@ -514,22 +526,22 @@ class ProjectionCompiler:
         if isinstance(skel, While):
             n = est.card_int_zero(skel.condition)
             tc = est.t(skel.condition)
-            cname = skel.condition.name
+            cond_m = skel.condition
             current = preds
             if n >= 2:
                 tmpl = self._template(skel.subskel)
                 for _ in range(n):
-                    cond = self.add(cname, tc, current, "condition")
+                    cond = self.add(cond_m, tc, current, "condition")
                     current = self.stamp(tmpl, cond)
             else:
                 for _ in range(n):
-                    cond = self.add(cname, tc, current, "condition")
+                    cond = self.add(cond_m, tc, current, "condition")
                     current = self._emit(skel.subskel, [cond])
-            return [self.add(cname, tc, current, "condition")]
+            return [self.add(cond_m, tc, current, "condition")]
 
         if isinstance(skel, If):
             cond = self.add(
-                skel.condition.name, est.t(skel.condition), preds, "condition"
+                skel.condition, est.t(skel.condition), preds, "condition"
             )
             branch = max(
                 (skel.true_skel, skel.false_skel),
@@ -538,18 +550,18 @@ class ProjectionCompiler:
             return self._emit(branch, [cond])
 
         if isinstance(skel, Map):
-            split = self.add(skel.split.name, est.t(skel.split), preds, "split")
+            split = self.add(skel.split, est.t(skel.split), preds, "split")
             k = est.card_int(skel.split)
             if k >= 2:
                 tmpl = self._template(skel.subskel)
                 terminals = self.stamp_many(tmpl, split, k)
             else:
                 terminals = self._emit(skel.subskel, [split])
-            merge = self.add(skel.merge.name, est.t(skel.merge), terminals, "merge")
+            merge = self.add(skel.merge, est.t(skel.merge), terminals, "merge")
             return [merge]
 
         if isinstance(skel, Fork):
-            split = self.add(skel.split.name, est.t(skel.split), preds, "split")
+            split = self.add(skel.split, est.t(skel.split), preds, "split")
             terminals = []
             for sub in skel.subskels:
                 # A subskel object reused across branches (or already
@@ -561,7 +573,7 @@ class ProjectionCompiler:
                     terminals.extend(self.stamp(tmpl, split))
                 else:
                     terminals.extend(self._emit(sub, [split]))
-            merge = self.add(skel.merge.name, est.t(skel.merge), terminals, "merge")
+            merge = self.add(skel.merge, est.t(skel.merge), terminals, "merge")
             return [merge]
 
         if isinstance(skel, DivideAndConquer):
@@ -572,19 +584,17 @@ class ProjectionCompiler:
 
     def _emit_dac(self, skel: DivideAndConquer, preds, depth: int) -> List[int]:
         est = self.est
-        cond = self.add(
-            skel.condition.name, est.t(skel.condition), preds, "condition"
-        )
+        cond = self.add(skel.condition, est.t(skel.condition), preds, "condition")
         if depth <= 0:
             return self._emit(skel.subskel, [cond])
-        split = self.add(skel.split.name, est.t(skel.split), [cond], "split")
+        split = self.add(skel.split, est.t(skel.split), [cond], "split")
         k = est.card_int(skel.split)
         if k >= 2 or depth >= 2:
             tmpl = self._dac_template(skel, depth - 1)
             terminals = self.stamp_many(tmpl, split, k)
         else:
             terminals = self._emit_dac(skel, [split], depth - 1)
-        merge = self.add(skel.merge.name, est.t(skel.merge), terminals, "merge")
+        merge = self.add(skel.merge, est.t(skel.merge), terminals, "merge")
         return [merge]
 
     def _dac_template(self, skel: DivideAndConquer, depth: int) -> _Template:
@@ -661,9 +671,8 @@ class CompiledProjection:
 
     Duck-types the slice of the :class:`~repro.core.adg.ADG` surface the
     planning engine touches — ``rev`` (frozen at 0: the table is
-    immutable), ``len``, ``delta_since``/``compact_changelog`` (empty
-    window / no-op) — so every compiled schedule pass accepts it where
-    it accepts a projected ADG.  ``token`` deliberately excludes the
+    immutable) and ``len`` — so every compiled schedule pass accepts it
+    where it accepts a projected ADG.  ``token`` deliberately excludes the
     engine id: two engines holding the same program shape at the same
     estimate values share not just this object (through the cache memo)
     but every schedule answer derived from it.
@@ -681,11 +690,10 @@ class CompiledProjection:
     def __len__(self) -> int:
         return self.table.n
 
-    def delta_since(self, rev: int) -> ChangeDelta:
-        return ChangeDelta(rev, 0, False, ())
-
-    def compact_changelog(self, before_rev: int) -> None:
-        return None
+    def to_adg(self):
+        """The table as a fresh :class:`~repro.core.adg.ADG` — for
+        rendering and inspection only."""
+        return self.table.to_adg()
 
     def pinned_fresh(self, now: float) -> CompiledPinnedBase:
         """Pinned base at *now* by pure array copies.

@@ -9,39 +9,32 @@ an extra best-effort pass inside :func:`~repro.core.schedule.
 minimal_lp_greedy`) per execution per rebalance.  :class:`PlanEngine`
 owns all of it behind explicit invalidation:
 
-* **projections** are cached on ``(machine revision, estimator
-  version)`` — an execution that produced no events since the last
-  rebalance reuses its projected ADG outright (projection walks machine
-  state and estimates only; it is independent of *now*);
+* **live projections** are one :class:`~repro.core.planning.live.
+  LivePlan` table per execution and root set, patched in place: span
+  landings, machines created into slots the table already holds, and
+  ``t(m)``-only estimate changes rewrite rows; anything that can move
+  the table's shape rebuilds it straight from the tracking machines,
+  with no ``Activity`` or ADG on the way (:meth:`PlanEngine.
+  projection`).  An execution that produced no events and no estimate
+  change since the last analysis gets the same table back;
 * **structural projections** (pre-start analysis, admission gates) are
-  cached on the estimator version alone — and, with compilation on,
-  served as directly-compiled tables memoized *across engines* by
+  compiled straight to tables and memoized *across engines* by
   ``(structural fingerprint, estimate values)``, so same-shape
   submissions share one table without any walk (:meth:`PlanEngine.
   structural_plan`);
-* **schedules** are cached on ``(adg revision, estimator version, lp,
-  now)`` and recomputed *incrementally*: the pinned actuals
-  (:func:`~repro.core.schedule.pin_actuals`) and the critical-path
-  priority table (:func:`~repro.core.schedule.remaining_critical_path`)
-  are computed once per ``(revision, now)`` / per revision, and each LP
-  of a minimal-LP scan re-schedules only the pending frontier
-  (:func:`~repro.core.schedule.schedule_pending`);
-* **admission arithmetic** schedules structural ADGs at ``start=0.0``,
+* **schedules** are cached on ``(table revision, lp, now)``: the pinned
+  actuals and the critical-path priority list are computed once per
+  ``(revision, now)`` / per revision and shared by every LP of a
+  minimal-LP scan, and the pinned base advances across nows by
+  re-pinning only the rows a patch touched (``count_pin_patch``);
+* **bounds before passes** — the pending work ``W`` of a pinned base
+  bounds every limited-LP schedule from below (``now + W / lp``), and
+  the best-effort WCT bounds them all, so :meth:`PlanEngine.minimal_lp`
+  and :meth:`PlanEngine.meets` skip the passes those bounds already
+  decide;
+* **admission arithmetic** schedules structural tables at ``start=0.0``,
   which is *now*-independent — held-queue re-evaluations hit the cache
-  until an estimate actually changes.
-
-Since the delta pipeline, cache *misses* are incremental too:
-
-* **projection patching** — when the machine changelog
-  (:meth:`~repro.core.statemachines.MachineRegistry.delta_since`)
-  certifies that only span times changed since the previous live
-  projection, the previous ADG is refreshed in place from its span
-  sources instead of re-walking every machine
-  (``count_projection_patch``);
-* **delta re-pinning** — the pinned-actuals base advances to a new
-  ``now`` by re-pinning only the delta-touched activities
-  (:func:`~repro.core.schedule.pin_actuals_delta`,
-  ``count_pin_patch``);
+  until an estimate actually changes;
 * **quantized-now buckets** — with ``PlanCache(now_quantum=q)`` live
   schedules are computed and keyed at the bucket floor, so real-clock
   rebalances inside one bucket share plans at a decision skew bounded
@@ -49,11 +42,14 @@ Since the delta pipeline, cache *misses* are incremental too:
   for bit).
 
 Every answer is bit-for-bit equal to a from-scratch
-:mod:`repro.core.schedule` recompute at the same arguments (the
-incremental pieces are the same code the from-scratch path composes,
-and a patched graph equals the graph a full walk would rebuild), which
-the plan-cache property tests pin — quantized mode excepted, whose skew
-bound is tested separately.
+:mod:`repro.core.schedule` recompute over a fresh machine walk at the
+same arguments, which the plan-engine property tests pin — quantized
+mode excepted, whose skew bound is tested separately.
+
+``compiled=False`` keeps the older dict path for comparison: projected
+ADGs cached per ``(machine revision, estimator version)``, patched from
+their span sources when the machine changelog certifies a span-only
+window, and delta re-pinned.
 """
 
 from __future__ import annotations
@@ -85,13 +81,13 @@ from .compile import (
     structural_fingerprint,
     structural_values_key,
 )
+from .live import LivePlan, build, patch
 from .table import (
     CompiledPinnedBase,
     PlanTable,
     compiled_best_effort,
     compiled_critical_path,
     compiled_pin,
-    compiled_pin_delta,
     compiled_schedule_pending,
 )
 
@@ -100,6 +96,10 @@ __all__ = ["PlanEngine"]
 _EPS = 1e-9
 
 _engine_ids = itertools.count(1)
+_plan_ids = itertools.count(1)
+
+#: Root sets whose live plan an engine keeps (the stalest goes first).
+_LIVE_PLANS = 4
 
 
 class PlanEngine:
@@ -123,21 +123,20 @@ class PlanEngine:
         every key is namespaced by this engine's id.  ``None`` creates a
         private cache.
     patching:
-        Enable the delta pipeline: when the machine changelog certifies
-        that only span times changed since the previous live projection
-        (and the estimator version is unchanged), the previous ADG is
-        patched in place (``count_projection_patch``) instead of
-        re-walked, and pinned-actuals bases advance by delta re-pin
+        Patch the previous live projection in place when the machine
+        changelog allows it (``count_projection_patch``) instead of
+        rebuilding it, and advance pinned bases by delta re-pin
         (``count_pin_patch``).  Patched answers are bit-for-bit equal to
-        full re-walks — pinned by the plan-engine property harness —
-        so this flag exists for benchmarking the delta pipeline against
-        the plain cached baseline, not for safety.
+        full rebuilds — pinned by the plan-engine property harness — so
+        this flag exists for benchmarking the delta pipeline against the
+        plain cached baseline, not for safety.
     compiled:
-        Run the hot scheduling passes over :class:`~repro.core.planning.
-        table.PlanTable` flat arrays (default).  A projected ADG is
-        flattened once per revision (``count_table_compile``), kept
-        current by writing non-structural deltas through in place
-        (``count_table_patch``), and best-effort / pinning /
+        Plan over :class:`~repro.core.planning.table.PlanTable` flat
+        arrays (default).  Live projections are one patched
+        :class:`~repro.core.planning.live.LivePlan` per root set (a
+        rebuild counts one ``count_projection_pass`` and one
+        ``count_table_compile``; a patch that wrote rows one
+        ``count_table_patch``), and best-effort / pinning /
         critical-path / limited-LP passes run as index arithmetic over
         the table, sharing one pinned base and one priority list across
         every LP of a minimal-LP scan.  Answers are bit-for-bit equal to
@@ -164,22 +163,17 @@ class PlanEngine:
         # id(adg) -> (weakref, version token) for ADGs this engine built;
         # lets plan calls key correctly on any ADG they are handed back.
         self._known: Dict[int, Tuple[weakref.ref, Tuple]] = {}
-        # roots_key -> (machines rev, estimator version, adg, adg rev at
-        # build/patch): the previous live projection, i.e. the patch
-        # candidate for the next one.
+        # roots_key -> the live plan table of that root set (compiled).
+        self._live: Dict[Tuple, LivePlan] = {}
+        # Dict path: roots_key -> (machines rev, estimator version, adg,
+        # adg rev at build/patch), the patch candidate for the next
+        # projection; and id(adg) -> (weakref, adg rev, pinned base) for
+        # delta re-pinning across rebalances.
         self._live_prev: Dict[Tuple, Tuple[int, int, ADG, int]] = {}
-        # id(adg) -> (weakref, adg rev, pinned base) for delta re-pinning
-        # across rebalances (the base's `now` changes, the graph does not).
         self._pin_prev: Dict[int, Tuple[weakref.ref, int, PinnedPlanBase]] = {}
-        # id(adg) -> (weakref, synced adg rev, table): the flattened
-        # array form of each projected ADG, kept current by writing
-        # non-structural deltas through in place.
+        # id(adg) -> (weakref, adg rev, table): an ADG handed to a
+        # compiled engine, flattened once per revision.
         self._tables: Dict[int, Tuple[weakref.ref, int, PlanTable]] = {}
-        # Compiled twin of _pin_prev (the two pin paths patch from their
-        # own previous bases, so flipping `compiled` never mixes types).
-        self._cpin_prev: Dict[
-            int, Tuple[weakref.ref, int, CompiledPinnedBase]
-        ] = {}
         # Lazy identity of the skeleton's structure (stable for the
         # engine's lifetime) and the estimate values the structural memo
         # keys on, re-derived only when the estimator version moves.
@@ -214,6 +208,8 @@ class PlanEngine:
         """
         if type(adg) is CompiledProjection:
             return adg.token + (0,)
+        if type(adg) is LivePlan:
+            return adg.token + (adg.rev,)
         with self._lock:
             entry = self._known.get(id(adg))
         if entry is not None and entry[0]() is adg:
@@ -222,26 +218,25 @@ class PlanEngine:
 
     # -- projections ---------------------------------------------------------------
 
-    def projection(self, now: float, roots: Optional[List] = None) -> ADG:
-        """The live execution's projected ADG (cached per revision).
+    def projection(self, now: float, roots: Optional[List] = None):
+        """The live execution's projection (cached per revision).
 
         Projection reads machine state and estimates only — *now* is
         threaded through for interface compatibility but does not shape
-        the result — so the cache key is ``(machines.rev,
-        estimators.version, root set)`` and an execution with no new
-        events reuses its ADG across rebalances.
+        the result — so an execution with no new events and no estimate
+        change gets the same projection back across rebalances.
 
-        On a miss, the **patch path** runs first: when the machine
-        changelog (:meth:`~repro.core.statemachines.MachineRegistry.
-        delta_since`) certifies that everything since the previous
-        projection was span-only — actual times landing on activities
-        that were already projected — and the estimator version is
-        unchanged, the previous ADG is refreshed in place from its span
-        sources (:func:`~repro.core.statemachines.base.
-        refresh_from_sources`) instead of re-walking every machine.  Any
-        structural change (new machines, cardinalities, condition
-        outcomes, a finished root, changed estimates) falls back to the
-        classic full walk.
+        Compiled engines answer with the root set's
+        :class:`~repro.core.planning.live.LivePlan`, patched in place
+        when the changelog certifies the window
+        (:func:`~repro.core.planning.live.patch`) and rebuilt straight
+        from the machines otherwise.  ``compiled=False`` engines answer
+        with an ADG: when the machine changelog (:meth:`~repro.core.
+        statemachines.MachineRegistry.delta_since`) certifies that
+        everything since the previous projection was span-only and the
+        estimator version is unchanged, the previous ADG is refreshed in
+        place from its span sources (:func:`~repro.core.statemachines.
+        base.refresh_from_sources`) instead of re-walking every machine.
         """
         roots_key = (
             None if roots is None else tuple(m.index for m in roots)
@@ -249,6 +244,8 @@ class PlanEngine:
         # The machine lock makes (rev, projection) consistent under
         # concurrent worker-thread publishes.
         with self.machines.lock:
+            if self.compiled:
+                return self._live_plan(roots_key, roots)
             rev = self.machines.rev
             est_version = self.estimators.version
             token = (self._uid, "live", rev, est_version, roots_key)
@@ -263,7 +260,7 @@ class PlanEngine:
                 self._remember(adg, token)
                 with self._lock:
                     self._live_prev[roots_key] = (rev, est_version, adg, adg.rev)
-                    while len(self._live_prev) > 4:
+                    while len(self._live_prev) > _LIVE_PLANS:
                         # Evict the stalest candidate (root sets that are
                         # gone never patch again); keeping the map tiny
                         # also lets the changelog compact close behind
@@ -275,6 +272,44 @@ class PlanEngine:
                     oldest = min(r for r, _v, _a, _ar in self._live_prev.values())
                 self.machines.compact_changelog(oldest)
             return adg
+
+    def _live_plan(self, roots_key: Tuple, roots: Optional[List]) -> LivePlan:
+        """The root set's live plan, brought up to date (lock held)."""
+        plan = self._live.get(roots_key)
+        if (
+            plan is not None
+            and plan.machines_rev == self.machines.rev
+            and plan.est_version == self.estimators.version
+        ):
+            return plan
+        rev = plan.rev if plan is not None else None
+        if plan is not None and self.patching and patch(
+            plan, self.machines, self.estimators
+        ):
+            self.cache.count_projection_patch()
+            if plan.rev != rev:
+                self.cache.count_table_patch()
+        else:
+            targets = roots if roots is not None else self.machines.unfinished_roots()
+            plan = build(
+                self.machines,
+                self.estimators,
+                targets,
+                roots_key,
+                (self._uid, "live", next(_plan_ids)),
+            )
+            self.cache.count_projection_pass()
+            self.cache.count_table_compile()
+            live = self._live
+            live[roots_key] = plan
+            while len(live) > _LIVE_PLANS:
+                # Root sets that are gone never patch again; a tiny map
+                # also lets the changelog compact behind the live plans.
+                del live[min(live, key=lambda k: live[k].machines_rev)]
+        self.machines.compact_changelog(
+            min(p.machines_rev for p in self._live.values())
+        )
+        return plan
 
     def _patch_projection(
         self, roots_key: Tuple, rev: int, est_version: int
@@ -387,35 +422,24 @@ class PlanEngine:
 
     # -- compiled plan tables --------------------------------------------------------
 
-    def _table_for(self, adg: ADG) -> Optional[PlanTable]:
-        """The flat array form of *adg*, synced to its revision.
+    def _table_for(self, adg) -> Optional[PlanTable]:
+        """The flat array form of *adg*.
 
         ``None`` routes the caller to the dict path: compilation is off,
         or the ADG's ids are not dense (impossible for graphs built
-        through the public API, guarded anyway).  A held table whose
-        revision lags is advanced by writing the changelog window
-        through in place (``count_table_patch``) when the window is
-        non-structural, and recompiled from scratch otherwise
-        (``count_table_compile``).  A :class:`CompiledProjection` *is*
-        its table — immutable, no sync bookkeeping.
+        through the public API, guarded anyway).  Live plans and
+        structural plans *are* tables; an ADG handed in (a foreign
+        graph, :meth:`structural_projection`) is flattened once per
+        revision (``count_table_compile``).
         """
         if not self.compiled:
             return None
-        if type(adg) is CompiledProjection:
+        if type(adg) is LivePlan or type(adg) is CompiledProjection:
             return adg.table
         with self._lock:
             entry = self._tables.get(id(adg))
-        if entry is not None and entry[0]() is adg:
-            ref, synced_rev, table = entry
-            if synced_rev == adg.rev:
-                return table
-            delta = adg.delta_since(synced_rev)
-            if delta is not None and not delta.structural:
-                table.refresh(adg, delta.touched)
-                self.cache.count_table_patch()
-                with self._lock:
-                    self._tables[id(adg)] = (ref, adg.rev, table)
-                return table
+        if entry is not None and entry[0]() is adg and entry[1] == adg.rev:
+            return entry[2]
         table = PlanTable.compile(adg)
         if table is None:
             return None
@@ -442,15 +466,15 @@ class PlanEngine:
         return pair
 
     def _pinned_compiled(
-        self, adg: ADG, now: float, table: PlanTable
+        self, adg, now: float, table: PlanTable
     ) -> CompiledPinnedBase:
-        """Compiled twin of :meth:`_pinned` (same caching and delta
-        re-pin discipline, over array columns).
+        """The compiled pinned base for (adg, now), cached per token.
 
         Structural plans short-circuit: an all-pending immutable table
         pins by pure array copies (:meth:`CompiledProjection.
-        pinned_fresh`), with no previous-base tracking or changelog
-        compaction to maintain.
+        pinned_fresh`).  A live plan advances its previous base over the
+        rows patched since (:meth:`~repro.core.planning.live.LivePlan.
+        pinned`, ``count_pin_patch``); an ADG pins in full.
         """
         if type(adg) is CompiledProjection:
             key = ("cpin", adg.token + (0,), now)
@@ -464,43 +488,15 @@ class PlanEngine:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
-        base = (
-            self._patch_pinned_compiled(adg, now, table)
-            if token is not None
-            else None
-        )
-        if base is None:
+        if type(adg) is LivePlan and self.patching:
+            with self._lock:
+                base, delta = adg.pinned(now)
+            if delta:
+                self.cache.count_pin_patch()
+        else:
             base = compiled_pin(table, now)
         if key is not None:
             self.cache.put(key, base)
-            with self._lock:
-                self._cpin_prev[id(adg)] = (weakref.ref(adg), adg.rev, base)
-                if len(self._cpin_prev) > 64:
-                    self._cpin_prev = {
-                        k: entry
-                        for k, entry in self._cpin_prev.items()
-                        if entry[0]() is not None
-                    }
-            adg.compact_changelog(adg.rev if self.patching else 0)
-        return base
-
-    def _patch_pinned_compiled(
-        self, adg: ADG, now: float, table: PlanTable
-    ) -> Optional[CompiledPinnedBase]:
-        if not self.patching:
-            return None
-        with self._lock:
-            entry = self._cpin_prev.get(id(adg))
-        if entry is None or entry[0]() is not adg:
-            return None
-        _ref, prev_rev, prev_base = entry
-        delta = adg.delta_since(prev_rev)
-        if delta is None or delta.structural:
-            return None
-        # _table_for already wrote this window through to the table, so
-        # the delta re-pin reads post-refresh truth.
-        base = compiled_pin_delta(table, now, prev_base, delta.touched)
-        self.cache.count_pin_patch()
         return base
 
     # -- cached schedule primitives -------------------------------------------------
@@ -654,6 +650,28 @@ class PlanEngine:
         """Projected WCT under *lp* workers."""
         return self.limited(adg, now, lp).wct
 
+    def _pending_work(self, adg, now: float) -> Optional[float]:
+        """The work bound's ``W`` at (adg, now); ``None`` on the dict path."""
+        table = self._table_for(adg)
+        if table is None:
+            return None
+        return self._pinned_compiled(adg, now, table).pending_work(table)
+
+    def meets(self, adg, now: float, lp: int, deadline: float) -> bool:
+        """True when the *lp*-worker schedule meets *deadline*.
+
+        Equal to ``wct_at(adg, now, lp) <= deadline + eps``, but the
+        limited-LP pass runs only when the work bound ``now + W / lp``
+        (a true lower bound on that schedule's WCT, see
+        :func:`~repro.core.planning.table.compiled_minimal_lp`) does not
+        already miss.
+        """
+        now = self.cache.quantize(now)
+        work = self._pending_work(adg, now)
+        if work is not None and now + work / lp > deadline + _EPS:
+            return False
+        return self.limited(adg, now, lp).wct <= deadline + _EPS
+
     def minimal_lp(
         self,
         adg: ADG,
@@ -667,10 +685,13 @@ class PlanEngine:
         Same linear scan (and same answers) as :func:`~repro.core.
         schedule.minimal_lp_greedy`, but the best-effort upper bound and
         every limited schedule come from the cache, and each scanned LP
-        re-schedules only the pending frontier.  Under the quantized-now
-        mode the scan runs at the bucket floor (the deadline itself is
-        never quantized), so the answer can skew by at most the bucket
-        width's worth of elapsed progress.
+        re-schedules only the pending frontier.  No limited schedule
+        ends before the best-effort one, so a best-effort miss answers
+        ``None`` without scanning; each candidate's pass is skipped when
+        ``max(best-effort WCT, now + W / lp)`` already misses.  Under the
+        quantized-now mode the scan runs at the bucket floor (the
+        deadline itself is never quantized), so the answer can skew by
+        at most the bucket width's worth of elapsed progress.
         """
         now = self.cache.quantize(now)
         token = self._token_of(adg)
@@ -683,36 +704,23 @@ class PlanEngine:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached[0]
-        upper = max(self.optimal_lp(adg, now), 1)
-        if cap is not None:
-            upper = min(upper, cap)
         answer: Optional[int] = None
-        pending_work: Optional[float] = None
-        table = self._table_for(adg)
-        if table is not None:
-            # Work-bound prune (see compiled_minimal_lp): with lp
-            # workers the pending worker-occupying work W cannot finish
-            # before now + W / lp, so candidates whose bound already
-            # misses the deadline skip their frontier pass.  The bound
-            # is a true lower bound on the greedy WCT, so the first
-            # feasible LP — the answer — is unchanged.
-            base = self._pinned_compiled(adg, now, table)
-            duration = table.duration
-            pp = base.pp
-            pending_work = sum(
-                d
-                for i in range(table.n)
-                if pp[i] != -1 and (d := duration[i]) > _EPS
-            )
-        for lp in range(max(1, start_lp), upper + 1):
-            if (
-                pending_work is not None
-                and now + pending_work / lp > deadline + _EPS
-            ):
-                continue
-            if self.limited(adg, now, lp).wct <= deadline + _EPS:
-                answer = lp
-                break
+        best = self.best_effort(adg, now)
+        best_wct = best.wct
+        if best_wct <= deadline + _EPS:
+            upper = max(best.peak(from_time=now), 1)
+            if cap is not None:
+                upper = min(upper, cap)
+            work = self._pending_work(adg, now)
+            for lp in range(max(1, start_lp), upper + 1):
+                if (
+                    work is not None
+                    and max(best_wct, now + work / lp) > deadline + _EPS
+                ):
+                    continue
+                if self.limited(adg, now, lp).wct <= deadline + _EPS:
+                    answer = lp
+                    break
         if key is not None:
             self.cache.put(key, (answer,))
         return answer

@@ -20,9 +20,9 @@ immutable-structure :class:`PlanTable` —
   **inlined** into two parallel arrays (``pred0``/``pred1``), so hot
   loops touch no Python containers for the typical node;
 * estimates, actual starts/ends and a pending/running/finished state
-  byte live in parallel ``array('d')`` / ``array('b')`` columns that the
-  delta pipeline *writes through* (:meth:`PlanTable.refresh` lands newly
-  observed actuals on exactly the activities the ADG changelog names).
+  byte live in parallel ``array('d')`` / ``array('b')`` columns that a
+  live plan table (:mod:`repro.core.planning.live`) patches in place as
+  actuals land and estimates move.
 
 Every scheduler pass then runs as index arithmetic over these columns:
 
@@ -43,10 +43,10 @@ floating-point operations in the same order* as its dict twin in
 :mod:`repro.core.schedule`, so WCTs, minimal LPs, timelines and
 materialized entries are identical — pinned by the compiled-vs-dict
 property harness in ``tests/core/test_plan_engine.py``.  The
-:class:`~repro.core.planning.engine.PlanEngine` keys tables by the
-existing ``(ADG.rev, estimator version)`` invalidation scheme and falls
-back to the dict path whenever compilation is unsound
-(``compiled=False``, or an ADG with non-dense ids).
+:class:`~repro.core.planning.engine.PlanEngine` keys every schedule by
+the table's revision and falls back to the dict path whenever
+compilation is unsound (``compiled=False``, or an ADG with non-dense
+ids).
 """
 
 from __future__ import annotations
@@ -100,12 +100,11 @@ FINISHED = 2
 class PlanTable:
     """One projected ADG, flattened into struct-of-arrays form.
 
-    Structure (names, roles, adjacency) is immutable after
-    :meth:`compile`; the time columns (``start``/``end``/``duration``/
-    ``state``) are refreshed in place by :meth:`refresh` when the ADG
-    changelog certifies an in-place-only delta.  Invalidation is the
-    engine's job: it tracks the ADG revision each table was last synced
-    at and recompiles on any structural change.
+    Structure (names, roles, adjacency) is immutable once built; the
+    time columns (``start``/``end``/``duration``/``state``) of a live
+    plan table are patched in place (:func:`repro.core.planning.live.
+    patch`).  Invalidation is the engine's job: schedules key on the
+    owning plan's revision.
     """
 
     __slots__ = (
@@ -215,28 +214,25 @@ class PlanTable:
         table.succ_ext = succ_ext
         return table
 
-    def refresh(self, adg: ADG, touched: Iterable[int]) -> None:
-        """Write through the actuals of the *touched* activities.
-
-        The caller (the engine) must have verified through
-        :meth:`~repro.core.adg.ADG.delta_since` that everything since
-        the last sync was in-place time updates on these activities —
-        the same certificate the dict path's delta re-pin relies on.
-        """
+    def to_adg(self) -> ADG:
+        """The table as an :class:`~repro.core.adg.ADG` — the inverse of
+        :meth:`compile`, for rendering and inspection (never on the
+        planning hot path)."""
+        adg = ADG()
         start = self.start
         end = self.end
-        duration = self.duration
-        state = self.state
-        for aid in touched:
-            act = adg.activity(aid)
-            s = act.start
-            e = act.end
-            start[aid] = nan if s is None else s
-            end[aid] = nan if e is None else e
-            duration[aid] = act.duration
-            state[aid] = (
-                FINISHED if e is not None else RUNNING if s is not None else PENDING
+        for i in range(self.n):
+            s = start[i]
+            e = end[i]
+            adg.add(
+                self.names[i],
+                self.duration[i],
+                self.preds_of(i),
+                start=None if s != s else s,
+                end=None if e != e else e,
+                role=self.roles[i],
             )
+        return adg
 
     def preds_of(self, i: int) -> Tuple[int, ...]:
         """Predecessor ids of *i* (test/debug helper, not the hot path)."""
@@ -266,7 +262,7 @@ class CompiledPinnedBase:
 
     Immutable once built (schedule passes copy the columns they mutate);
     ``state`` is a snapshot so cached bases and results stay frozen when
-    the table is later refreshed in place.
+    the table is later patched in place.
     """
 
     __slots__ = (
@@ -277,6 +273,7 @@ class CompiledPinnedBase:
         "busy",
         "ready_items",
         "to_schedule",
+        "_work",
     )
 
     def __init__(self, now, ends, pp, state, busy, ready_items, to_schedule):
@@ -287,6 +284,29 @@ class CompiledPinnedBase:
         self.busy = busy  # heapified worker-release times (running only)
         self.ready_items = ready_items  # [(ready_time, aid)] frontier
         self.to_schedule = to_schedule
+        self._work = None
+
+    def pending_work(self, table: "PlanTable") -> float:
+        """Worker-occupying work ``W`` still to schedule (memoized).
+
+        The sum of the pending durations longer than the scheduling
+        epsilon — zero-length activities never hold a worker.  With
+        ``lp`` workers no schedule from this base ends before ``now + W
+        / lp``: the work bound the minimal-LP scan and
+        :meth:`~repro.core.planning.engine.PlanEngine.meets` prune with.
+        *table* must be the table this base was pinned from, at the
+        same revision.
+        """
+        work = self._work
+        if work is None:
+            duration = table.duration
+            pp = self.pp
+            work = self._work = sum(
+                d
+                for i in range(table.n)
+                if pp[i] != -1 and (d := duration[i]) > _EPS
+            )
+        return work
 
 
 class CompiledSchedule:
@@ -573,8 +593,8 @@ def compiled_pin_delta(
     The per-activity columns copy at C speed; only the delta-touched
     activities, the running re-clamp and the frontier re-derivation do
     Python-level work.  The result equals :func:`compiled_pin` bit for
-    bit (same certificate as the dict path: the table was refreshed from
-    a non-structural changelog window).
+    bit, given that the table changed since *prev* only in the *touched*
+    rows (which a live plan table's patch reports).
     """
     n = table.n
     touched = set(touched)
@@ -908,15 +928,7 @@ def compiled_minimal_lp(
         base = compiled_pin(table, now)
     if prio is None:
         _cp, prio = compiled_critical_path(table)
-    duration = table.duration
-    pp = base.pp
-    pending_work = sum(
-        d
-        for i in range(table.n)
-        # Zero-length activities never occupy a worker — exclude them,
-        # they can run at unbounded concurrency.
-        if pp[i] != -1 and (d := duration[i]) > _EPS
-    )
+    pending_work = base.pending_work(table)
     for lp in range(max(1, start_lp), upper + 1):
         if now + pending_work / lp > deadline + _EPS:
             continue  # work bound: no lp-worker greedy schedule can fit

@@ -14,7 +14,10 @@ an :class:`~repro.core.adg.ADG` — actual times for the past, estimates for
 the future (delegating unexplored structure to
 :func:`repro.core.projection.project_skeleton`).  Rebuilding on demand
 keeps machines simple and makes the ADG trivially consistent with the
-event history.
+event history.  Each machine also emits the same rows straight into a
+live plan table (:meth:`TrackingMachine.emit`, see
+:mod:`repro.core.planning.live`), which the planning layer patches
+between analyses instead of re-projecting.
 """
 
 from __future__ import annotations
@@ -201,6 +204,30 @@ class TrackingMachine:
     ) -> List[int]:
         """Append this instance's activities to *adg*; return terminals."""
         raise NotImplementedError
+
+    def emit(self, c, preds: List[int]) -> List[int]:
+        """Twin of :meth:`project` into a live plan table.
+
+        *c* is a :class:`~repro.core.planning.live.LiveCompiler`; each
+        ``span`` / ``estimate`` / ``structure`` / ``machine`` call
+        appends exactly the rows the matching ``add_to`` / ``ADG.add``
+        / ``project_skeleton`` / child ``project`` call adds, so the
+        table equals ``PlanTable.compile`` of :meth:`project`'s graph.
+        Child positions the projection fills from the skeleton go
+        through ``slot`` / ``slots``: a machine created into one later
+        binds to those rows instead of reshaping the table.
+        """
+        raise NotImplementedError
+
+    def fresh_shape(self) -> bool:
+        """True when :meth:`emit` lays out exactly the rows of the
+        structural projection of :attr:`skel` (times aside).
+
+        That is what lets a machine created into a structural slot of
+        its parent patch the live table in place.  The default is the
+        safe answer for kinds not proven.
+        """
+        return False
 
     # -- helpers --------------------------------------------------------------------
 

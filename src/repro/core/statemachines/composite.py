@@ -26,6 +26,14 @@ class FarmMachine(TrackingMachine):
             return self.children[0].project(adg, preds, now)
         return project_skeleton(self.skel.subskel, adg, preds, self.estimators)
 
+    def emit(self, c, preds: List[int]) -> List[int]:
+        if self.children:
+            return c.machine(self.children[0], preds)
+        return c.slot(0, self.skel.subskel, preds)
+
+    def fresh_shape(self) -> bool:
+        return all(child.fresh_shape() for child in self.children)
+
 
 class PipeMachine(TrackingMachine):
     __slots__ = ()
@@ -42,3 +50,15 @@ class PipeMachine(TrackingMachine):
             else:
                 current = project_skeleton(stage, adg, current, self.estimators)
         return current
+
+    def emit(self, c, preds: List[int]) -> List[int]:
+        current = list(preds)
+        for k, stage in enumerate(self.skel.stages):
+            if k < len(self.children):
+                current = c.machine(self.children[k], current)
+            else:
+                current = c.slot(k, stage, current)
+        return current
+
+    def fresh_shape(self) -> bool:
+        return all(child.fresh_shape() for child in self.children)

@@ -50,3 +50,21 @@ class IfMachine(TrackingMachine):
         if self.children:
             return self.children[0].project(adg, [cid], now)
         return project_skeleton(branch, adg, [cid], est)
+
+    def emit(self, c, preds: List[int]) -> List[int]:
+        est = self.estimators
+        cid = c.span(self.cond_span, self.skel.condition, preds, "condition")
+        if self.cond_span.result is None:
+            branch = max(
+                (self.skel.true_skel, self.skel.false_skel),
+                key=lambda b: estimated_total_work(b, est),
+            )
+            return c.structure(branch, [cid])
+        if self.children:
+            return c.machine(self.children[0], [cid])
+        branch = self.skel.true_skel if self.cond_span.result else self.skel.false_skel
+        return c.structure(branch, [cid])
+
+    def fresh_shape(self) -> bool:
+        # Outcome unknown: the heavier branch, like the structural walk.
+        return self.cond_span.result is None

@@ -158,6 +158,39 @@ class DacMachine(TrackingMachine):
             return leaf_children[0].project(adg, [cid], now)
         return project_skeleton(self.skel.subskel, adg, [cid], est)
 
+    def emit(self, c, preds: List[int]) -> List[int]:
+        est = self.estimators
+        skel = self.skel
+        cond = skel.condition
+        cid = c.span(self.cond_span, cond, preds, "condition")
+        if self.cond_span.result is None:
+            remaining = max(est.card_int_zero(cond) - self.depth, 0)
+            return c.dac_future(skel, [cid], remaining)
+        if self.cond_span.result:
+            split_id = c.span(self.split_span, skel.split, [cid], "split")
+            n = self.split_span.card
+            if n is None:
+                n = est.card_int(skel.split)
+            c.card(n)
+            node_children = [m for m in self.children if isinstance(m, DacMachine)]
+            terminals: List[int] = []
+            for child in node_children[:n]:
+                terminals.extend(c.machine(child, [split_id]))
+            child_remaining = max(est.card_int_zero(cond) - (self.depth + 1), 0)
+            terminals.extend(
+                c.dac_nodes(skel, split_id, child_remaining, n - len(node_children))
+            )
+            return [c.span(self.merge_span, skel.merge, terminals, "merge")]
+        leaf_children = [m for m in self.children if not isinstance(m, DacMachine)]
+        if leaf_children:
+            return c.machine(leaf_children[0], [cid])
+        return c.structure(skel.subskel, [cid])
+
+    def fresh_shape(self) -> bool:
+        # A tree root with its first condition pending projects the full
+        # estimated depth, exactly like the structural walk.
+        return self.cond_span.result is None and self.depth == 0
+
 
 def _project_future(
     skel,

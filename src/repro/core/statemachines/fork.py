@@ -69,3 +69,21 @@ class ForkMachine(TrackingMachine):
             adg, self.skel.merge.name, est.t(self.skel.merge), terminals, role="merge"
         )
         return [merge_id]
+
+    def emit(self, c, preds: List[int]) -> List[int]:
+        skel = self.skel
+        split_id = c.span(self.split_span, skel.split, preds, "split")
+        by_skel: Dict[int, List[TrackingMachine]] = {}
+        for child in self.children:
+            by_skel.setdefault(id(child.skel), []).append(child)
+        terminals: List[int] = []
+        for sub in skel.subskels:
+            queue = by_skel.get(id(sub))
+            if queue:
+                terminals.extend(c.machine(queue.pop(0), [split_id]))
+            else:
+                terminals.extend(c.structure(sub, [split_id]))
+        return [c.span(self.merge_span, skel.merge, terminals, "merge")]
+
+    def fresh_shape(self) -> bool:
+        return all(child.fresh_shape() for child in self.children)

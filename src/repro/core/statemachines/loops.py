@@ -92,6 +92,42 @@ class WhileMachine(TrackingMachine):
         final = adg.add(cond.name, est.t(cond), current, role="condition")
         return [final]
 
+    def emit(self, c, preds: List[int]) -> List[int]:
+        est = self.estimators
+        cond = self.skel.condition
+        current = list(preds)
+        body_idx = 0
+        ended = False
+        for span in self.cond_spans:
+            current = [c.span(span, cond, current, "condition")]
+            if span.result is True:
+                if body_idx < len(self.children):
+                    current = c.machine(self.children[body_idx], current)
+                else:
+                    current = c.structure(self.skel.subskel, current)
+                body_idx += 1
+            elif span.result is False:
+                ended = True
+                break
+            else:
+                break
+        if ended or self.finished:
+            return current
+        running_cond = bool(self.cond_spans) and not self.cond_spans[-1].finished
+        remaining = max(est.card_int_zero(cond) - self.trues, 0)
+        if running_cond and remaining == 0:
+            return current
+        for k in range(remaining):
+            if k > 0 or not running_cond:
+                current = [c.estimate(cond, current, "condition")]
+            current = c.structure(self.skel.subskel, current)
+        return [c.estimate(cond, current, "condition")]
+
+    def fresh_shape(self) -> bool:
+        # No evaluation yet: |fc| estimated iterations, then the final
+        # false evaluation — the structural projection.
+        return not self.cond_spans and not self.finished
+
 
 class ForMachine(TrackingMachine):
     __slots__ = ()
@@ -106,3 +142,14 @@ class ForMachine(TrackingMachine):
         for _ in range(self.skel.times - len(self.children)):
             current = project_skeleton(self.skel.subskel, adg, current, est)
         return current
+
+    def emit(self, c, preds: List[int]) -> List[int]:
+        current = list(preds)
+        for child in self.children:
+            current = c.machine(child, current)
+        for k in range(len(self.children), self.skel.times):
+            current = c.slot(k, self.skel.subskel, current)
+        return current
+
+    def fresh_shape(self) -> bool:
+        return all(child.fresh_shape() for child in self.children)

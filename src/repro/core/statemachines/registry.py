@@ -52,6 +52,57 @@ MACHINE_TYPES: Dict[str, Type[TrackingMachine]] = {
 UNSUPPORTED_KINDS = frozenset({"if", "fork"})
 
 
+# Changelog categories of a consumed event (see _classify), ordered so
+# that ``>= _DONE`` is exactly what the ADG patch path treats as
+# structural.
+_NOOP, _SPAN, _DONE, _SPLIT, _SHAPE = range(5)
+
+#: Kinds whose split AFTER can land without reshaping a projection when
+#: the observed cardinality equals the child count already laid out.
+_SPLIT_KINDS = frozenset({"map", "fork", "dac"})
+
+
+def _classify(machine: TrackingMachine, event: Event) -> int:
+    """What *event* may change in a projection of this execution.
+
+    * ``_NOOP`` — nothing: control markers carry the parent's index and
+      no machine has a NESTED handler;
+    * ``_SPAN`` — actual times land on a span that was already
+      projected: BEFORE events (bar a While's condition, whose spans are
+      *appended* per evaluation), a merge's AFTER, a nested Seq's
+      completion;
+    * ``_DONE`` — a nested non-Seq machine finished: only its
+      ``finished`` flag moves, which no projection reads except While's;
+    * ``_SPLIT`` — a split AFTER of a Map/Fork/D&C: a span landing plus
+      an observed cardinality, which keeps the shape when it equals the
+      child count the projection already used;
+    * ``_SHAPE`` — anything else: condition outcomes, a While's new
+      condition span, a finishing root.
+    """
+    where = event.where
+    if where is Where.NESTED:
+        return _NOOP
+    if event.when is When.BEFORE:
+        if machine.kind == "while" and where is Where.CONDITION:
+            return _SHAPE
+        return _SPAN
+    if where is Where.MERGE:
+        return _SPAN  # closes a fixed span; the machine finishes later
+    if where is Where.SKELETON and machine.parent_index is not None:
+        if machine.kind == "seq":
+            return _SPAN
+        return _SHAPE if machine.kind == "while" else _DONE
+    if where is Where.SPLIT and machine.kind in _SPLIT_KINDS:
+        return _SPLIT
+    return _SHAPE
+
+
+def _since(log: Dict[int, int], rev: int, sort: bool = False) -> Tuple[int, ...]:
+    """Keys of *log* stamped after *rev* (insertion or sorted order)."""
+    keys = [i for i, r in log.items() if r > rev]
+    return tuple(sorted(keys) if sort else keys)
+
+
 class MachineRegistry(Listener):
     """Event listener that maintains one tracking machine per instance."""
 
@@ -69,6 +120,13 @@ class MachineRegistry(Listener):
         self._structural_rev = 0
         self._span_touched: Dict[int, int] = {}
         self._floor_rev = 0
+        # The live plan table's finer view of the same window: the last
+        # event that may reshape a projection in a way no patch covers,
+        # plus machine creations (in order) and split-cardinality
+        # landings, which the table checks against the shape it holds.
+        self._shape_rev = 0
+        self._created: Dict[int, int] = {}
+        self._split_landed: Dict[int, int] = {}
 
     @property
     def rev(self) -> int:
@@ -108,53 +166,22 @@ class MachineRegistry(Listener):
             machine = self._create(event)
         machine.on_event(event)
         self._rev += 1
-        if created or self._is_structural(machine, event):
-            self._structural_rev = self._rev
-        elif self._touches_span(machine, event):
-            self._span_touched[event.index] = self._rev
-
-    # -- event classification (changelog) -----------------------------------
-
-    @staticmethod
-    def _is_structural(machine: TrackingMachine, event: Event) -> bool:
-        """True when *event* may reshape a projection of this execution.
-
-        Span-only events land actual times on spans that already existed
-        (and were therefore already projected with provenance); anything
-        else — machine creation (handled by the caller), split
-        cardinalities, condition outcomes, a While's growing condition
-        list, a finishing root — can change the *set* of projected
-        activities or their dependencies, so the changelog flags it and
-        the planning layer re-walks.
-        """
-        if event.where is Where.NESTED:
-            # Control markers carry the parent's index and no machine has
-            # a NESTED handler: pure no-ops for projection state.
-            return False
-        if event.when is When.BEFORE:
-            # BEFORE events at most set the start of a pre-existing span
-            # — except While, whose condition spans are *appended* per
-            # evaluation (the new span replaces an estimate-only
-            # activity, which carries no patchable source).
-            return machine.kind == "while" and event.where is Where.CONDITION
-        # AFTER events:
-        if event.where is Where.MERGE:
-            return False  # closes a fixed span; the machine finishes later
-        if event.where is Where.SKELETON and machine.parent_index is not None:
-            # A nested completion closes its span; parents project
-            # children unconditionally, so the shape is unchanged.  A
-            # finishing *root* changes the projected root set instead.
-            return machine.kind != "seq"
-        return True
-
-    @staticmethod
-    def _touches_span(machine: TrackingMachine, event: Event) -> bool:
-        """True when a non-structural *event* changed some span's times."""
-        return event.where is not Where.NESTED
+        rev = self._rev
+        kind = _classify(machine, event)
+        if kind == _SHAPE:
+            self._shape_rev = rev
+        elif kind == _SPLIT:
+            self._split_landed[event.index] = rev
+        if created:
+            self._created[event.index] = rev
+        if created or kind >= _DONE:
+            self._structural_rev = rev
+        if kind == _SPAN or kind == _SPLIT or created:
+            self._span_touched[event.index] = rev
 
     # -- changelog ------------------------------------------------------------
 
-    def delta_since(self, rev: int) -> Optional[ChangeDelta]:
+    def delta_since(self, rev: int, live: bool = False) -> Optional[ChangeDelta]:
         """What changed after revision *rev*, or ``None`` when unknown.
 
         ``None`` (window older than the compaction floor, or *rev* from
@@ -162,13 +189,30 @@ class MachineRegistry(Listener):
         ``structural=False`` lists the machine indices whose spans gained
         actual times — exactly the activities a projection patch must
         refresh.
+
+        ``live=True`` answers for the live plan table, which can patch
+        more: machine creations and split-cardinality landings come back
+        as ``created`` / ``splits`` instead of setting ``structural``,
+        and so does the completion of a nested machine other than a
+        While (nothing projects its ``finished`` flag).
         """
         with self.lock:
             if rev < self._floor_rev or rev > self._rev:
                 return None
+            if live:
+                if self._shape_rev > rev:
+                    return ChangeDelta(rev, self._rev, True)
+                return ChangeDelta(
+                    rev,
+                    self._rev,
+                    False,
+                    _since(self._span_touched, rev, sort=True),
+                    _since(self._created, rev),
+                    _since(self._split_landed, rev),
+                )
             structural = self._structural_rev > rev
-            touched = () if structural else tuple(
-                sorted(i for i, r in self._span_touched.items() if r > rev)
+            touched = () if structural else _since(
+                self._span_touched, rev, sort=True
             )
             return ChangeDelta(rev, self._rev, structural, touched)
 
@@ -183,11 +227,13 @@ class MachineRegistry(Listener):
         with self.lock:
             if before_rev <= self._floor_rev:
                 return
-            self._floor_rev = min(before_rev, self._rev)
+            floor = self._floor_rev = min(before_rev, self._rev)
             self._span_touched = {
-                i: r
-                for i, r in self._span_touched.items()
-                if r > self._floor_rev
+                i: r for i, r in self._span_touched.items() if r > floor
+            }
+            self._created = {i: r for i, r in self._created.items() if r > floor}
+            self._split_landed = {
+                i: r for i, r in self._split_landed.items() if r > floor
             }
 
     def changelog_size(self) -> int:
@@ -257,5 +303,7 @@ class MachineRegistry(Listener):
             self._machines.clear()
             self.roots.clear()
             self._span_touched.clear()
+            self._created.clear()
+            self._split_landed.clear()
             self._rev += 1
-            self._structural_rev = self._rev
+            self._structural_rev = self._shape_rev = self._rev

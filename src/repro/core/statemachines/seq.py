@@ -38,3 +38,9 @@ class SeqMachine(TrackingMachine):
         est = self.estimators.t(muscle)
         aid = self.span.add_to(adg, muscle.name, est, preds, role="execute")
         return [aid]
+
+    def emit(self, c, preds: List[int]) -> List[int]:
+        return [c.span(self.span, self.skel.execute, preds, "execute")]
+
+    def fresh_shape(self) -> bool:
+        return True  # one row, whatever its span holds

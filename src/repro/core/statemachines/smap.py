@@ -74,3 +74,27 @@ class MapMachine(TrackingMachine):
             adg, self.skel.merge.name, est.t(self.skel.merge), terminals, role="merge"
         )
         return [merge_id]
+
+    def _width(self) -> int:
+        card = self.split_span.card
+        return card if card is not None else self.estimators.card_int(self.skel.split)
+
+    def emit(self, c, preds: List[int]) -> List[int]:
+        skel = self.skel
+        split_id = c.span(self.split_span, skel.split, preds, "split")
+        n = self._width()
+        c.card(n)
+        terminals: List[int] = []
+        for child in self.children[:n]:
+            terminals.extend(c.machine(child, [split_id]))
+        terminals.extend(
+            c.slots(len(self.children), skel.subskel, split_id, n - len(self.children))
+        )
+        return [c.span(self.merge_span, skel.merge, terminals, "merge")]
+
+    def fresh_shape(self) -> bool:
+        # The structural projection lays out card_int(|fs|) children.
+        return (
+            self._width() == self.estimators.card_int(self.skel.split)
+            and all(child.fresh_shape() for child in self.children)
+        )

@@ -172,7 +172,7 @@ class TestHeldOverMinimalLP:
             wct_best_effort=1.0,
             wct_current_lp=None,
             optimal_lp=2,
-            adg=adg,
+            plan=adg,
             engine=engine,
         )
         assert report.minimal_lp(cap=8) == 2
@@ -184,22 +184,22 @@ class TestHeldOverMinimalLP:
         _program, analyzer, _cache, now, rest = mid_run
         held = analyzer.analyze(now)
         held.minimal_lp(cap=8)
-        rev = held.adg.rev
+        rev = held.plan.rev
         for event in rest:
             analyzer.observe(event)
             newer = analyzer.analyze(event.timestamp)
             if newer is None:
                 continue
-            if newer.adg is held.adg and held.adg.rev != rev:
-                break  # held's ADG was patched in place under it
+            if newer.plan is held.plan and held.plan.rev != rev:
+                break  # held's plan table was patched in place under it
             held = newer
             held.minimal_lp(cap=8)
-            rev = held.adg.rev
+            rev = held.plan.rev
         else:
-            pytest.fail("no span-only window patched the held-over ADG")
+            pytest.fail("no span-only window patched the held-over plan")
         expected = minimal_lp_greedy(held.adg, held.time, held.deadline, max_lp=8)
         assert held.minimal_lp(cap=8) == (expected[0] if expected else None)
-        assert (8, 1, held.adg.rev) in held._minimal_lps
+        assert (8, 1, held.plan.rev) in held._minimal_lps
 
 
 class _Unmemoized(ExecutionAnalyzer):

@@ -372,7 +372,11 @@ def assert_compiled_pinned_equal(cbase, full) -> None:
 class _PatchPathChecker(Listener):
     """At every analysis point, compare the (possibly patched) projection
     and pinned base against from-scratch machine walks, atomically with
-    respect to concurrent event publication (machines.lock is held)."""
+    respect to concurrent event publication (machines.lock is held).
+
+    Compiled engines project into a live plan table, which must equal
+    ``PlanTable.compile`` of the walk in every column; dict engines
+    project an ADG, which must equal the walk's graph."""
 
     def __init__(self, analyzer, platform):
         self.analyzer = analyzer
@@ -389,30 +393,30 @@ class _PatchPathChecker(Listener):
             if not roots or not analyzer.ready(roots):
                 return event.value
             now = self.platform.now()
-            adg = engine.projection(now, roots)
+            plan = engine.projection(now, roots)
             fresh, _terminals = analyzer.machines.project_roots(now, roots)
-            assert_adg_content_equal(adg, fresh)
             # Drive the pinned base (and its delta re-pin across nows)
             # through the engine, then compare with a full pinning pass.
-            engine.limited(adg, now, 2)
-            table = engine._table_for(adg)
-            if table is not None:
-                # Compiled passes against their dict twins on the same
-                # (possibly patched, delta-refreshed) graph — including
-                # the compiled delta re-pin, which `limited` above drove
-                # across nows.
+            engine.limited(plan, now, 2)
+            if engine.compiled:
+                table = engine._table_for(plan)
+                assert_tables_bit_equal(table, PlanTable.compile(fresh))
                 assert_compiled_pinned_equal(
-                    engine._pinned_compiled(adg, now, table),
-                    pin_actuals(adg, now),
+                    engine._pinned_compiled(plan, now, table),
+                    pin_actuals(fresh, now),
                 )
                 assert_compiled_schedule_equal(
-                    engine.limited(adg, now, 2),
-                    limited_lp_schedule(adg, now, 2),
+                    engine.limited(plan, now, 2),
+                    limited_lp_schedule(fresh, now, 2),
                 )
-                cp, _prio = engine._critical_path_compiled(adg, table)
-                ref_cp = remaining_critical_path(adg)
-                assert list(cp) == [ref_cp[i] for i in range(len(adg))]
-            assert_pinned_equal(engine._pinned(adg, now), pin_actuals(adg, now))
+                cp, _prio = engine._critical_path_compiled(plan, table)
+                ref_cp = remaining_critical_path(fresh)
+                assert list(cp) == [ref_cp[i] for i in range(len(fresh))]
+            else:
+                assert_adg_content_equal(plan, fresh)
+                assert_pinned_equal(
+                    engine._pinned(plan, now), pin_actuals(plan, now)
+                )
             self.checked += 1
         return event.value
 
@@ -429,6 +433,19 @@ def _warm_snapshot_for(desc):
     return snapshot_estimates(warm_program, warm_analyzer.estimators)
 
 
+def _scaled(snapshot, scale):
+    """*snapshot* with every ``t(m)`` multiplied by *scale*: the run then
+    observes other times than it was warmed with, so ``t(m)`` moves at
+    analysis points while the cardinalities hold."""
+    return {
+        **snapshot,
+        "estimates": {
+            key: {**entry, **({"t": entry["t"] * scale} if "t" in entry else {})}
+            for key, entry in snapshot["estimates"].items()
+        },
+    }
+
+
 @pytest.mark.service_stress
 class TestPatchPathEquivalence:
     """ISSUE 5 acceptance: for every generated scenario, the delta/patch
@@ -438,9 +455,11 @@ class TestPatchPathEquivalence:
     (which runs with patching on by default); this class pins the
     projection/pinning layers directly and that patches actually fire."""
 
-    @given(program_descriptions)
-    def test_patched_projection_and_pins_equal_full_walks(self, desc):
-        snapshot = _warm_snapshot_for(desc)
+    @given(program_descriptions, st.sampled_from([0.5, 1.0, 1.5]))
+    def test_patched_projection_and_pins_equal_full_walks(self, desc, scale):
+        # Scaled warm times make t(m) move at analysis points while the
+        # cardinalities hold: the live table's restamp windows.
+        snapshot = _scaled(_warm_snapshot_for(desc), scale)
         program = build_program(desc)
         platform = timed_sim()
         analyzer = ExecutionAnalyzer(
@@ -497,6 +516,7 @@ class TestPatchPathEquivalence:
         assert checker.checked >= 4
         assert stats.projection_patches == 0
         assert stats.pin_patches == 0
+        assert stats.table_compiles == checker.checked  # one per window
 
 
 # ---------------------------------------------------------------------------
@@ -1058,3 +1078,401 @@ class TestProjectionCompilerTwin:
         assert ctl.predict_wct(
             program, analyzer.estimators, engine=analyzer.plan
         ) == projected_wct(program, analyzer.estimators, 4)
+
+
+# ---------------------------------------------------------------------------
+# the live plan table: patched in place == PlanTable.compile(walk)
+
+
+def two_level_map(outer=3, inner=4):
+    return Map(
+        Split(lambda v, w=outer: [v] * w, name="fs1"),
+        Map(
+            Split(lambda v, w=inner: [v] * w, name="fs2"),
+            Seq(Execute(lambda v: v, name="fe")),
+            Merge(lambda rs: rs[0], name="fm2"),
+        ),
+        Merge(lambda rs: rs[0], name="fm1"),
+    )
+
+
+class _Counting:
+    """Count calls of ``live.<name>`` while installed (restored on exit)."""
+
+    def __init__(self, name):
+        from repro.core.planning import live
+
+        self.module = live
+        self.name = name
+        self.calls = 0
+        self.results = []
+
+    def __enter__(self):
+        original = self.original = getattr(self.module, self.name)
+
+        def counting(*args, **kwargs):
+            self.calls += 1
+            result = original(*args, **kwargs)
+            self.results.append(result)
+            return result
+
+        setattr(self.module, self.name, counting)
+        return self
+
+    def __exit__(self, *exc):
+        setattr(self.module, self.name, self.original)
+
+
+@pytest.mark.service_stress
+class TestLiveTable:
+    """The live plan table equals ``PlanTable.compile`` of a fresh
+    machine walk in every column at every analysis point — across span
+    landings, slot fills and ``t(m)``-only restamps — and the patches
+    those windows certify actually fire."""
+
+    def test_fills_restamps_and_landings_fire_on_two_level_map(self):
+        """Deterministic non-vacuity: warm estimates that drift (t(m)
+        only, cardinalities exact) on a two-level map — one compile,
+        every later window patched, with slot fills and restamps among
+        the patches and the checker holding throughout."""
+        program = two_level_map()
+        analyzer = ExecutionAnalyzer(qos=QoS.wall_clock(30.0), skeleton=program)
+        analyzer.initialize_estimates(
+            program,
+            snapshot_from_names(
+                program,
+                times={"fs1": 0.5, "fs2": 0.5, "fe": 2.0, "fm1": 0.5, "fm2": 0.5},
+                cards={"fs1": 3.0, "fs2": 4.0},
+            ),
+        )
+        platform = timed_sim()
+        checker = _PatchPathChecker(analyzer, platform)
+        platform.add_listener(analyzer)
+        platform.add_listener(checker)
+        with _Counting("_bind") as fills, _Counting("_restamp") as restamps:
+            run(program, 3, platform)
+        stats = analyzer.plan.cache.stats
+        assert checker.checked >= 10
+        assert stats.table_compiles == 1
+        assert stats.projection_patches == checker.checked - 1
+        assert fills.calls >= 3 and all(fills.results)
+        assert any(restamps.results)
+        assert stats.table_patches >= 1 and stats.pin_patches >= 1
+
+    def test_changed_cardinality_rebuilds(self):
+        """A split AFTER whose cardinality differs from the laid-out
+        child count, and the card estimate it moves, rebuild the table
+        (and it still equals the walk)."""
+        program = two_level_map(outer=3, inner=4)
+        analyzer = ExecutionAnalyzer(qos=QoS.wall_clock(30.0), skeleton=program)
+        analyzer.initialize_estimates(
+            program,
+            snapshot_from_names(
+                program,
+                times={"fs1": 1.0, "fs2": 1.0, "fe": 1.0, "fm1": 1.0, "fm2": 1.0},
+                cards={"fs1": 3.0, "fs2": 2.0},  # fs2 really yields 4
+            ),
+        )
+        platform = timed_sim()
+        checker = _PatchPathChecker(analyzer, platform)
+        platform.add_listener(analyzer)
+        platform.add_listener(checker)
+        run(program, 3, platform)
+        assert checker.checked >= 10
+        assert analyzer.plan.cache.stats.table_compiles >= 2
+
+    def test_report_adg_is_an_on_demand_view(self):
+        """``report.adg`` renders the plan table as an ADG, for live and
+        pre-start (structural) reports alike."""
+        program = two_level_map()
+        analyzer = ExecutionAnalyzer(qos=QoS.wall_clock(30.0), skeleton=program)
+        analyzer.initialize_estimates(
+            program,
+            snapshot_from_names(
+                program,
+                times={"fs1": 1.0, "fs2": 1.0, "fe": 1.0, "fm1": 1.0, "fm2": 1.0},
+                cards={"fs1": 3.0, "fs2": 4.0},
+            ),
+        )
+        pre_start = analyzer.analyze(0.0)
+        assert_tables_bit_equal(
+            PlanTable.compile(pre_start.adg), pre_start.plan.table
+        )
+        platform = timed_sim()
+        platform.add_listener(analyzer)
+        reports = []
+
+        class Analyze(Listener):
+            def on_event(self, event):
+                if is_analysis_point(event):
+                    report = analyzer.analyze(platform.now(), current_lp=2)
+                    if report is not None:
+                        reports.append(report)
+                        assert_tables_bit_equal(
+                            PlanTable.compile(report.adg), report.plan.table
+                        )
+                return event.value
+
+        platform.add_listener(Analyze())
+        run(program, 3, platform)
+        assert len(reports) >= 10
+
+
+#: One program per tracking-machine kind (the kind at the root).
+_KIND_PROGRAMS = {
+    "seq": ("seq", 1),
+    "farm": ("farm", ("seq", 1)),
+    "pipe": ("pipe", (("seq", 1), ("map", 2, ("seq", 2)))),
+    "for": ("for", 2, ("seq", 1)),
+    "while": ("while", 2, ("seq", 1)),
+    "if": ("if", 0, ("seq", 1), ("map", 3, ("seq", 2))),
+    "map": ("map", 3, ("pipe", (("seq", 1), ("seq", 2)))),
+    "fork": ("fork", (("seq", 1), ("map", 2, ("seq", 2)))),
+    "dac": ("dac", 2, ("seq", 1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_PROGRAMS))
+def test_fresh_machine_projects_the_structural_shape(kind):
+    """A machine of *kind*, right after its creating event, claims
+    :meth:`fresh_shape` and lays out exactly the rows of
+    ``project_skeleton`` of its skeleton (times aside) — the proof that
+    lets a creation into a structural slot patch the live table."""
+    from repro.core.persistence import snapshot_estimates
+    from repro.core.planning.live import LiveCompiler
+
+    desc = _KIND_PROGRAMS[kind]
+    program = build_program(desc)
+    platform = timed_sim()
+    analyzer = ExecutionAnalyzer(skeleton=program, extensions=True)
+    warm_program = build_program(desc)
+    warm_analyzer = ExecutionAnalyzer(skeleton=warm_program, extensions=True)
+    warm_platform = timed_sim()
+    warm_platform.add_listener(warm_analyzer)
+    for value in (5, 6):  # both If branches observed
+        run(warm_program, value, warm_platform)
+    analyzer.initialize_estimates(
+        program, snapshot_estimates(warm_program, warm_analyzer.estimators)
+    )
+    assert analyzer.estimators.ready_for(program)
+    checked = []
+
+    class FirstEvent(Listener):
+        def on_event(self, event):
+            machine = analyzer.machines.machine(event.index)
+            if machine is None or machine.index in {m.index for m in checked}:
+                return event.value
+            checked.append(machine)
+            if machine.kind == kind and machine.parent is None:
+                assert machine.fresh_shape()
+            if not machine.fresh_shape():
+                return event.value
+            est = analyzer.estimators
+            compiler = LiveCompiler(est)
+            compiler.machine(machine, [])
+            emitted = compiler.finish()
+            fresh = ADG()
+            project_skeleton(machine.skel, fresh, [], est)
+            walked = PlanTable.compile(fresh)
+            assert emitted.names == walked.names
+            assert emitted.roles == walked.roles
+            for col in _TABLE_COLUMNS:
+                if col in ("start", "end", "state"):
+                    continue
+                assert getattr(emitted, col) == getattr(walked, col), col
+            return event.value
+
+    platform.add_listener(analyzer)
+    platform.add_listener(FirstEvent())
+    run(program, 5, platform)
+    assert any(m.kind == kind and m.parent is None for m in checked)
+
+
+# ---------------------------------------------------------------------------
+# minimal-LP bounds: best effort bounds every limited schedule
+
+
+class _BoundsChecker(Listener):
+    """At every analysis point: no limited schedule ends before the
+    best-effort one, and minimal_lp / meets answer as the unpruned
+    greedy scan over a fresh walk does, for deadlines on both sides of
+    the best-effort WCT."""
+
+    def __init__(self, analyzer, platform):
+        self.analyzer = analyzer
+        self.platform = platform
+        self.early = 0
+        self.checked = 0
+
+    def on_event(self, event):
+        if not is_analysis_point(event):
+            return event.value
+        analyzer = self.analyzer
+        engine = analyzer.plan
+        with analyzer.machines.lock:
+            roots = analyzer.unfinished_roots()
+            if not roots or not analyzer.ready(roots):
+                return event.value
+            now = self.platform.now()
+            plan = engine.projection(now, roots)
+            fresh, _terminals = analyzer.machines.project_roots(now, roots)
+            best = engine.best_effort(plan, now).wct
+            for lp in range(1, 7):
+                assert engine.limited(plan, now, lp).wct >= best
+            for deadline in (best - 1.0, best - 1e-6, best, best + 0.5, best + 5.0):
+                found = minimal_lp_greedy(fresh, now, deadline, max_lp=6)
+                expected = found[0] if found is not None else None
+                assert engine.minimal_lp(plan, now, deadline, cap=6) == expected
+                for lp in (1, 2, 4):
+                    assert engine.meets(plan, now, lp, deadline) == (
+                        limited_lp_schedule(fresh, now, lp).wct <= deadline + 1e-9
+                    )
+                self.early += best > deadline + 1e-9
+            self.checked += 1
+        return event.value
+
+
+@pytest.mark.service_stress
+class TestMinimalLPBounds:
+    @given(program_descriptions)
+    def test_best_effort_bounds_and_answers_unchanged(self, desc):
+        snapshot = _warm_snapshot_for(desc)
+        program = build_program(desc)
+        platform = timed_sim()
+        analyzer = ExecutionAnalyzer(
+            qos=QoS.wall_clock(30.0), skeleton=program, extensions=True
+        )
+        analyzer.initialize_estimates(program, snapshot)
+        assume(analyzer.estimators.ready_for(program))
+        platform.add_listener(analyzer)
+        platform.add_listener(_BoundsChecker(analyzer, platform))
+        run(program, 5, platform)
+
+    def test_best_effort_miss_skips_the_scan(self):
+        program, analyzer = warm_map_analyzer(width=4, qos=QoS.wall_clock(30.0))
+        platform = timed_sim()
+        checker = _BoundsChecker(analyzer, platform)
+        platform.add_listener(analyzer)
+        platform.add_listener(checker)
+        run(program, 3, platform)
+        assert checker.checked >= 4 and checker.early >= checker.checked
+        # A best-effort miss answers None without a single limited pass.
+        engine = analyzer.plan
+        plan = engine.structural_plan()
+        best = engine.best_effort(plan, 0.0).wct
+        passes = engine.cache.stats.schedule_passes
+        assert engine.minimal_lp(plan, 0.0, best - 1.0, cap=8) is None
+        assert engine.cache.stats.schedule_passes == passes
+
+
+class TestLiveTableRebuilds:
+    """Windows the live table must refuse to patch."""
+
+    def test_new_root_mid_run(self):
+        """A second execution starting while the first runs joins the
+        "every unfinished root" plan by a rebuild, and leaves a plan of
+        the fixed first root as it is."""
+        from repro.runtime.interpreter import submit
+
+        program, analyzer = warm_map_analyzer(width=4, qos=QoS.wall_clock(30.0))
+        engine = analyzer.plan
+        platform = timed_sim()
+        futures = []
+        checked = []
+
+        class Check(Listener):
+            def on_event(self, event):
+                if not futures and event.label == "seq@a":
+                    futures.append(submit(program, 7, platform))
+                if not is_analysis_point(event):
+                    return event.value
+                with analyzer.machines.lock:
+                    roots = analyzer.unfinished_roots()
+                    if not roots:
+                        return event.value
+                    now = platform.now()
+                    first = analyzer.machines.roots[:1]
+                    for fixed in (None, first):
+                        plan = engine.projection(now, fixed)
+                        fresh, _ = analyzer.machines.project_roots(now, fixed)
+                        assert_tables_bit_equal(plan.table, PlanTable.compile(fresh))
+                    checked.append(len(roots))
+                return event.value
+
+        platform.add_listener(analyzer)
+        platform.add_listener(Check())
+        compiles = engine.cache.stats.table_compiles
+        run(program, 3, platform)
+        futures[0].get()
+        assert len(analyzer.machines.roots) == 2 and 2 in checked
+        # One build per root set, plus one for the second root joining
+        # (and one more for each finishing root).
+        assert engine.cache.stats.table_compiles - compiles <= 5
+
+    def test_split_count_other_than_laid_out_rebuilds(self):
+        """With rho=0 the cardinality estimate never moves, so only the
+        split AFTER itself can say that 4 children come where the table
+        laid out 2 — it must rebuild rather than land a span."""
+        program = two_level_map(outer=2, inner=4)
+        analyzer = ExecutionAnalyzer(
+            qos=QoS.wall_clock(30.0), skeleton=program, rho=0.0
+        )
+        analyzer.initialize_estimates(
+            program,
+            snapshot_from_names(
+                program,
+                times={"fs1": 1.0, "fs2": 1.0, "fe": 1.0, "fm1": 1.0, "fm2": 1.0},
+                cards={"fs1": 2.0, "fs2": 2.0},
+            ),
+        )
+        card_version = analyzer.estimators.card_version
+        # Both inner maps start together, so the second one's split
+        # lands in a window after it was bound into its slot.
+        platform = timed_sim(parallelism=3)
+        checker = _PatchPathChecker(analyzer, platform)
+        platform.add_listener(analyzer)
+        platform.add_listener(checker)
+        run(program, 3, platform)
+        assert analyzer.estimators.card_version == card_version
+        assert checker.checked >= 10
+        assert analyzer.plan.cache.stats.table_compiles >= 2
+
+    def test_if_branch_flip_rebuilds(self):
+        """An unstarted If projects its heavier branch by ``t(m)``, so a
+        time-only estimate change can swap the branch: programs with If
+        rebuild on every estimate change instead of restamping."""
+        from repro.skeletons import Condition, If, Pipe
+
+        def leaf(name):
+            return Seq(Execute(lambda v: v, name=name))
+
+        program = Map(
+            Split(lambda v: [v + i for i in range(6)], name="split"),
+            If(
+                Condition(lambda v: v % 2 == 0, name="even"),
+                leaf("heavy"),
+                Pipe(leaf("light1"), leaf("light2")),
+            ),
+            Merge(lambda rs: sum(rs), name="merge"),
+        )
+        analyzer = ExecutionAnalyzer(
+            qos=QoS.wall_clock(30.0), skeleton=program, extensions=True
+        )
+        # heavy (3.0) outweighs light1 + light2 (2.0) until two 1.0
+        # observations pull t(heavy) to 1.5: the unstarted Ifs then
+        # project the two-activity branch instead.
+        analyzer.initialize_estimates(
+            program,
+            snapshot_from_names(
+                program,
+                times={"split": 1.0, "even": 1.0, "heavy": 3.0,
+                       "light1": 1.0, "light2": 1.0, "merge": 1.0},
+                cards={"split": 6.0},
+            ),
+        )
+        platform = timed_sim(parallelism=2)
+        checker = _PatchPathChecker(analyzer, platform)
+        platform.add_listener(analyzer)
+        platform.add_listener(checker)
+        run(program, 2, platform)
+        assert checker.checked >= 10

@@ -50,7 +50,7 @@ class StubAnalyzer:
             wct_best_effort=best.wct,
             wct_current_lp=None,
             optimal_lp=best.peak(from_time=now),
-            adg=adg,
+            plan=adg,
         )
 
 
